@@ -171,16 +171,6 @@ module Romlr_p = struct
   let fresh () = create ~half:(1 lsl 17) ()
 end
 
-(* The pre-snapshot validating read path on the same engine: read-only
-   transactions re-validate against curTx and restart on conflict.  The
-   before/after baseline of the readmix figure (DESIGN.md §13). *)
-module Of_lf_val_v = struct
-  include Lf
-
-  let read_tx = Lf.read_tx_validating
-  let fresh = Of_lf_v.fresh
-end
-
 (* The same workload behind a 4-shard volatile router: read-only
    transactions that stay on one shard take that shard's wait-free
    snapshot path, traversals that cross take the epoch-vector cut. *)
@@ -375,7 +365,6 @@ let harris_point ~keys ~update_pct sp =
       end)
 
 module Ll_of_lf = LlBench (Of_lf_v)
-module Ll_of_lf_val = LlBench (Of_lf_val_v)
 module Ll_sh_lf = LlBench (Of_sh_lf_v)
 module Ll_of_wf = LlBench (Of_wf_v)
 module Ll_tiny = LlBench (Tiny_v)
@@ -698,32 +687,7 @@ let fig_crashes () =
 (* Ablations of the design choices DESIGN.md calls out *)
 
 let fig_ablation mode =
-  (* 1. WF read-only fallback bound: the paper uses 4 optimistic attempts
-     before publishing the read as an operation *)
-  emit ~label_col:"read_tries"
-    ~title:"Ablation: OF-WF read_tries (read-heavy 90%/10% counter workload)"
-    ~columns:[ "ops/kround" ] ~better:J.Higher_better
-    (List.map
-       (fun tries ->
-         let t =
-           Wf.create ~mode:Region.Volatile ~size:(1 lsl 15) ~ws_cap:256
-             ~read_tries:tries ()
-         in
-         let r0 = Wf.root t 0 in
-         let sp =
-           { Bench_runner.threads = 8; cores = 4; rounds = mode.rounds / 2;
-             seed = mix 3; policy = Sched.Random_order }
-         in
-         let thr =
-           Bench_runner.throughput sp (fun ~tid:_ ~rng ->
-               if Rng.int rng 10 = 0 then
-                 ignore
-                   (Wf.update_tx t (fun tx -> Wf.store tx r0 (Wf.load tx r0 + 1); 0))
-               else ignore (Wf.read_tx t (fun tx -> Wf.load tx r0)))
-         in
-         (string_of_int tries, [ thr ]))
-       [ 0; 1; 4; 16 ]);
-  (* 2. Over-subscription: fixed 32 threads, shrinking machine *)
+  (* 1. Over-subscription: fixed 32 threads, shrinking machine *)
   emit ~label_col:"cores"
     ~title:"Ablation: over-subscription (SPS 16 swaps/tx, 32 threads)"
     ~columns:[ "OF-LF"; "OF-WF"; "TinySTM" ] ~better:J.Higher_better
@@ -738,7 +702,7 @@ let fig_ablation mode =
            [ point Sps_of_lf.point; point Sps_of_wf.point; point Sps_tiny.point ]
          ))
        [ 2; 4; 8; 16; 32 ]);
-  (* 3. Write-set lookup threshold (the paper's 40): real wall-clock of
+  (* 2. Write-set lookup threshold (the paper's 40): real wall-clock of
      populating + probing a large redo log — informational, not gated *)
   emit ~label_col:"threshold"
     ~title:"Ablation: write-set linear/hash threshold (wall-clock, 512-store tx)"
@@ -758,7 +722,7 @@ let fig_ablation mode =
          let dt = Unix.gettimeofday () -. t0 in
          (label, [ dt /. float_of_int (iters * 1024) *. 1e9 ]))
        [ (0, "0"); (40, "40"); (max_int, "inf") ]);
-  (* 4. Persistence cost model: how the fig8 ranking depends on the fence
+  (* 3. Persistence cost model: how the fig8 ranking depends on the fence
      price (1 = the paper's DRAM-emulated NVM, higher = real NVM) *)
   let saved = !Region.pfence_cost in
   emit ~label_col:"pfence_cost"
@@ -1206,15 +1170,32 @@ let fig_elastic mode =
 (* ------------------------------------------------------------------ *)
 (* Figure "readmix" (extension): read-mostly scaling of the wait-free
    snapshot-read path (DESIGN.md §13).  Linked-list sets at 90/10 and
-   99/1 read/write mixes, 1-16 threads.  OF-LF-val is the pre-snapshot
-   validating read path (read_tx_validating) on the same engine — the
-   direct before/after comparison: its read-only scans restart whenever
-   a writer commits mid-traversal, the snapshot path never does.
-   Shard-LF routes the identical workload through a 4-shard router
+   99/1 read/write mixes, 1-16 threads.  OF-LF-val is the deleted
+   pre-snapshot validating read path on the same engine — the
+   before/after comparison: its read-only scans restarted whenever a
+   writer committed mid-traversal, the snapshot path never does.  Its
+   column is embedded constants (see [readmix_validating]).  Shard-LF
+   routes the identical workload through a 4-shard router
    (read-only traversals that cross shards take the epoch-vector cut
    without entering the 2PC prepare queues).  RomLR is the left-right
    design exemplar (persistent, so its writers also pay pwbs);
    HarrisHE is the native lock-free list. *)
+
+(* OF-LF-val as measured by this figure, at the default seed, on the last
+   commit that still had the validating read path (before in-cell version
+   chains replaced the version store), keyed by (list keys, update
+   per-mille) and thread count — embedded the way --figure hotpath embeds
+   its pre-overhaul series, so the comparison survives the deletion. *)
+let readmix_validating ~keys ~upd th =
+  let rows =
+    match (keys, upd) with
+    | 128, 100 -> [ (1, 3.85); (2, 6.8); (4, 13.55); (8, 20.75); (16, 18.6) ]
+    | 128, 10 -> [ (1, 3.8); (2, 7.65); (4, 14.65); (8, 29.75); (16, 27.7) ]
+    | 512, 100 -> [ (1, 0.93); (2, 1.77); (4, 3.37); (8, 5.23); (16, 5.2) ]
+    | 512, 10 -> [ (1, 0.95); (2, 1.98); (4, 3.75); (8, 7.58); (16, 7.4) ]
+    | _ -> []
+  in
+  Option.value (List.assoc_opt th rows) ~default:0.0
 
 let fig_readmix mode =
   let threads = List.filter (fun t -> t <= 16) mode.threads in
@@ -1223,7 +1204,8 @@ let fig_readmix mode =
     [
       ("OF-LF", Ll_of_lf.point);
       ("OF-WF", Ll_of_wf.point);
-      ("OF-LF-val", Ll_of_lf_val.point);
+      ("OF-LF-val", fun ~keys ~update_pct sp ->
+          readmix_validating ~keys ~upd:update_pct sp.Bench_runner.threads);
       ("Shard-LF", Ll_sh_lf.point);
       ("TinySTM", Ll_tiny.point);
       ("RomLR", Ll_romlr.point);

@@ -356,8 +356,8 @@ let rec loop_check penv annots = function
 
 (* Boolean must-analysis: [true] iff a snap_pin dominates this point on
    every path with no intervening snap_unpin.  A snapshot load outside
-   that region walks the version store with no published read epoch, so
-   reclamation can free (or writers overwrite) the versions under it.
+   that region walks a version chain with no published read epoch, so
+   writers can cut away the versions under it.
    Loads whose pin is held by a caller (the router's cross-shard driver,
    the instance-level resolver) carry an [ok] annotation at the site. *)
 let rec snap_walk penv pinned = function

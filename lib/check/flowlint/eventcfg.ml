@@ -444,7 +444,7 @@ and lower_apply ctx env e f args =
             | [] -> Nil)
         | _, "closed" -> Ev (Recheck { line = ln })
         (* the wait-free snapshot-read protocol (DESIGN.md §13): the pin
-           publishes a read epoch, resolves walk the version store
+           publishes a read epoch, resolves walk the version chains
            against it, the unpin retires it.  Matched unqualified so the
            per-instance functions (core0) and the router's per-shard
            wrappers (tm_shard) both classify. *)

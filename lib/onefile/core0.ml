@@ -33,7 +33,11 @@
    is built once per thread slot.  tm_lint's hotpath rule keeps it that
    way. *)
 (* relaxed-ok: curtx_info/allocated_cells are step-free debug views, usable
-   from a scheduler on_round hook without perturbing the schedule. *)
+   from a scheduler on_round hook without perturbing the schedule; the
+   ro.snapshot_lag sample in snap_read_tx reads ro_stable step-free so
+   that attaching telemetry never changes the schedule and a detached
+   sink costs no step; snap_resolve reads pin_floor step-free for its
+   read-side cut, where a stale (lower) floor is still sound. *)
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
    sequential set-up code only; the per-thread flush-dedup scratch is
@@ -52,32 +56,24 @@ let round4 n = (n + 3) land lnot 3
 
 module Tmcheck = Check.Tmcheck
 
-(* One overwritten value of a data word, kept for pinned snapshot readers
-   (DESIGN.md §13): [vval] was the content of [vaddr] over the commit
-   interval [vbirth, vdel] (both inclusive).  Records are immutable and
-   published through Satomic cells, so every version-store access is a
-   scheduling step the explorer can interleave. *)
-type version = { vaddr : int; vval : int; vbirth : int; vdel : int }
-
-(* The volatile version store backing wait-free snapshot reads: a fixed
-   hash table of [vbuckets] buckets with [vslots_per] direct slots each
-   plus a per-bucket overflow list.  [ro_stable] is the newest fully
-   applied commit sequence — the epoch a new reader pins.  [pin_floor] is
-   a sound lower bound on the epoch of every active and future reader;
-   versions whose [vdel] sits below it are invisible to all readers and
-   may be dropped.  [pin_watermark] bounds the floor scan: it is a
-   monotone upper bound (exclusive) on the slot of every thread that has
-   ever pinned, so write-only workloads recompute the floor without
-   touching a single era slot.  [pinned_once] is the thread-confined
-   "already registered" flag behind it, and [pin_mine] mirrors the era
-   this slot last published through [snap_pin] (0 = none) so a
-   transaction driver reusing the slot of a fiber that was abandoned
-   mid-read can release the orphaned pin without paying a step in the
-   common case (mutable-ok: cell [i] of either array is written only by
-   thread [i], plus sequential recovery). *)
-type vstore = {
-  vslots : version option Satomic.t array; (* vbuckets * vslots_per *)
-  voverflow : version list Satomic.t array; (* one per bucket *)
+(* Epoch bookkeeping behind wait-free snapshot reads (DESIGN.md §13).
+   The versions themselves live in the cells: every data word carries the
+   word it overwrote ([Word.p]), so a pinned reader walks the cell's own
+   chain.  [ro_stable] is the newest fully applied commit sequence — the
+   epoch a new reader pins.  [pin_floor] is a sound lower bound on the
+   epoch of every active and future reader; a chain node with [s] below
+   it is needed by no reader once a newer node also sits at or below it,
+   so writers cut chains there.  [pin_watermark] bounds the floor scan:
+   it is a monotone upper bound (exclusive) on the slot of every thread
+   that has ever pinned, so write-only workloads recompute the floor
+   without touching a single era slot.  [pinned_once] is the
+   thread-confined "already registered" flag behind it, and [pin_mine]
+   mirrors the era this slot last published through [snap_pin] (0 =
+   none) so a transaction driver reusing the slot of a fiber that was
+   abandoned mid-read can release the orphaned pin without paying a step
+   in the common case (mutable-ok: cell [i] of either array is written
+   only by thread [i], plus sequential recovery). *)
+type epochs = {
   ro_stable : int Satomic.t;
   pin_floor : int Satomic.t;
   pin_watermark : int Satomic.t;
@@ -93,7 +89,7 @@ type tx = {
   mutable snap_epoch : int; (* pinned snapshot epoch; -1 = not a snap read *)
   ws : Writeset.t;
   txchk : Tmcheck.t option ref; (* shared with the owning instance *)
-  vst : vstore; (* shared with the owning instance *)
+  txfloor : int Satomic.t; (* the instance's pin_floor, for read-side cuts *)
   ops : Tm.Tm_intf.alloc_ops; (* interposition record, built once per slot *)
 }
 
@@ -133,9 +129,8 @@ type t = {
   heap_base : int;
   ws_threshold : int; (* Writeset linear/hash switchover, instance config *)
   alloc : Tm.Tm_alloc.t;
-  vst : vstore;
+  epochs : epochs;
   txs : tx array;
-  read_tries : int; (* read-only attempts before WF fallback *)
   (* wait-free state *)
   pending : desc option Satomic.t array;
   he : desc Hazard_eras.t;
@@ -160,7 +155,6 @@ type t = {
   c_recycles : Telemetry.handle;
   c_wf_published : Telemetry.handle;
   c_wf_aggregated : Telemetry.handle;
-  c_wf_fallbacks : Telemetry.handle;
   c_rec_runs : Telemetry.handle;
   c_rec_helped : Telemetry.handle;
   c_ro_pins : Telemetry.handle;
@@ -178,51 +172,38 @@ let ack_cell inst tid = inst.wf_base + (3 * tid) + 2
 let stats inst = Region.stats inst.region
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot version store, reader side (DESIGN.md §13)                  *)
+(* In-cell version chains, reader side (DESIGN.md §13)                  *)
 
-let vbuckets = 512
-let vslots_per = 2
-let vbucket addr = (addr lxor (addr lsr 7)) land (vbuckets - 1)
+(* The first node of the chain starting at [w] whose sequence is at most
+   [epoch], or [Word.nil] when the chain ends first.  Plain reads of
+   immutable fields plus the racy [p] link: no scheduling step, no
+   allocation. *)
+let rec chain_find (w : Word.t) epoch =
+  (* flowlint: bounded each hop strictly lowers s, and the chain ends at Word.nil *)
+  if w == Word.nil || w.Word.s <= epoch then w else chain_find w.Word.p epoch
 
-(* Resolve [addr] at snapshot epoch [epoch]: the current word when it is
-   old enough, else the captured version covering [epoch].  Never aborts,
-   never retries, never flushes.  The version is guaranteed present:
-   every overwrite captures its predecessor before the winning DCAS
-   ([put_one]), and replacement drops only versions with
-   [vdel < pin_floor <= every pinned epoch]. *)
-let snap_resolve ~region ~chk vst epoch addr =
+(* Resolve [addr] at snapshot epoch [epoch]: one shared load, then a
+   step-free walk down the cell's version chain.  Never aborts, never
+   retries, never flushes.  The version is guaranteed present: the word a
+   put overwrites is published as the new word's predecessor by the same
+   DCAS, and a chain is cut only behind a node with
+   [s <= pin_floor <= every pinned epoch].
+
+   The reader cuts too: once the node it resolved sits at or below
+   [pin_floor] it is the node covering the floor, so nothing behind it is
+   needed by anyone — the same cut a writer makes, for cells that are read
+   but not rewritten.  The floor is read step-free; a stale read only
+   returns a lower (still sound) floor, since [pin_floor] never falls. *)
+let snap_resolve ~region ~chk ~floor epoch addr =
   let w = Region.load region addr in
-  if w.Word.s <= epoch then begin
-    (match !chk with
-    | None -> ()
-    | Some c -> Tmcheck.tx_load c ~addr ~v:w.Word.v ~s:w.Word.s);
-    w.Word.v
-  end
-  else begin
-    let base = vbucket addr * vslots_per in
-    let hit = ref None in
-    for i = 0 to vslots_per - 1 do
-      match Satomic.get vst.vslots.(base + i) with
-      | Some u when u.vaddr = addr && u.vbirth <= epoch && epoch <= u.vdel ->
-          hit := Some u
-      | _ -> ()
-    done;
-    (match !hit with
-    | Some _ -> ()
-    | None ->
-        List.iter
-          (fun u ->
-            if u.vaddr = addr && u.vbirth <= epoch && epoch <= u.vdel then
-              hit := Some u)
-          (Satomic.get vst.voverflow.(vbucket addr)));
-    match !hit with
-    | Some u ->
-        (match !chk with
-        | None -> ()
-        | Some c -> Tmcheck.tx_load c ~addr ~v:u.vval ~s:u.vbirth);
-        u.vval
-    | None -> failwith "OneFile: snapshot version missing from the version store"
-  end
+  let u = if w.Word.s <= epoch then w else chain_find w.Word.p epoch in
+  if u == Word.nil then
+    raise (Tm.Tm_intf.Snapshot_version_missing { addr; epoch });
+  if u.Word.s <= Satomic.get_relaxed floor then Word.cut u;
+  (match !chk with
+  | None -> ()
+  | Some c -> Tmcheck.tx_load c ~addr ~v:u.Word.v ~s:u.Word.s);
+  u.Word.v
 
 (* ------------------------------------------------------------------ *)
 (* Interposition — defined before [create] so each tx slot can cache its
@@ -239,7 +220,8 @@ let load_shared tx addr =
 let load tx addr =
   (* flowlint: ok unpinned-snapshot-load the snap_epoch guard means snap_read_tx pinned this epoch and unpins only after the closure returns *)
   if tx.snap_epoch >= 0 then
-    snap_resolve ~region:tx.txregion ~chk:tx.txchk tx.vst tx.snap_epoch addr
+    snap_resolve ~region:tx.txregion ~chk:tx.txchk ~floor:tx.txfloor
+      tx.snap_epoch addr
   else if tx.read_only then load_shared tx addr
   else
     let i = Writeset.find_idx tx.ws addr in
@@ -251,7 +233,7 @@ let store tx addr v =
   Writeset.put tx.ws addr v
 
 let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
-    ?(ws_cap = 2048) ?(num_roots = 8) ?(read_tries = 4) ?linear_threshold () =
+    ?(ws_cap = 2048) ?(num_roots = 8) ?linear_threshold () =
   let region =
     match backing with
     | Some r ->
@@ -290,10 +272,8 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
     | None -> ()
   in
   let tele = Telemetry.sink () in
-  let vst =
+  let epochs =
     {
-      vslots = Array.init (vbuckets * vslots_per) (fun _ -> Satomic.make None);
-      voverflow = Array.init vbuckets (fun _ -> Satomic.make []);
       ro_stable = Satomic.make 1;
       pin_floor = Satomic.make 1;
       pin_watermark = Satomic.make 0;
@@ -311,7 +291,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
         snap_epoch = -1;
         ws = Writeset.create ?linear_threshold ws_cap;
         txchk = checker;
-        vst;
+        txfloor = epochs.pin_floor;
         ops =
           {
             Tm.Tm_intf.aload = (fun a -> load tx a);
@@ -336,9 +316,8 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       heap_base;
       ws_threshold = Writeset.threshold txs.(0).ws;
       alloc;
-      vst;
+      epochs;
       txs;
-      read_tries;
       pending = Array.init max_threads (fun _ -> Satomic.make None);
       he = Hazard_eras.create ~max_threads ~free:free_desc ();
       next_opid = Satomic.make 0;
@@ -357,7 +336,6 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       c_recycles = Telemetry.counter tele (key "log.recycles");
       c_wf_published = Telemetry.counter tele (key "wf.published");
       c_wf_aggregated = Telemetry.counter tele (key "wf.aggregated");
-      c_wf_fallbacks = Telemetry.counter tele (key "wf.fallbacks");
       c_rec_runs = Telemetry.counter tele (key "recovery.runs");
       c_rec_helped = Telemetry.counter tele (key "recovery.helped");
       c_ro_pins = Telemetry.counter tele (key "tx.ro_epoch_pins");
@@ -447,15 +425,15 @@ let is_open inst (ct : Word.t) =
   (Region.load inst.region (req_cell inst ct.Word.s)).Word.v = ct.Word.v
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot version store, writer side (DESIGN.md §13)                  *)
+(* In-cell version chains, writer side (DESIGN.md §13)                  *)
 
 (* Monotone CAS-max bump of the fully-applied epoch. *)
-let stable_bump vst s =
+let stable_bump epochs s =
   (* flowlint: bounded a CAS miss means another thread raised ro_stable concurrently, which is progress toward the target *)
   let rec go () =
-    let cur = Satomic.get vst.ro_stable in
+    let cur = Satomic.get epochs.ro_stable in
     if cur < s then
-      if not (Satomic.compare_and_set vst.ro_stable cur s) then go ()
+      if not (Satomic.compare_and_set epochs.ro_stable cur s) then go ()
   in
   go ()
 
@@ -466,13 +444,12 @@ let stable_bump vst s =
    <= e <= r.  If it does not — including when the watermark cut the
    scan short of its slot — the reader registered or published after
    that was checked, hence read ro_stable after we read [s0], so its
-   epoch r >= s0 >= the floor.  Either way no version with vdel < floor
-   can be the one a reader at r needs (which has vdel >= r).  Returns
-   the refreshed floor. *)
+   epoch r >= s0 >= the floor.  Either way every reader's epoch is >= the
+   floor.  Committers call this every [floor_period] commits. *)
 let refresh_floor inst =
-  let vst = inst.vst in
-  let s0 = Satomic.get vst.ro_stable in
-  let wm = Satomic.get vst.pin_watermark in
+  let epochs = inst.epochs in
+  let s0 = Satomic.get epochs.ro_stable in
+  let wm = Satomic.get epochs.pin_watermark in
   let c = ref s0 in
   for i = 0 to wm - 1 do
     let e = Hazard_eras.era inst.he i in
@@ -481,92 +458,51 @@ let refresh_floor inst =
   let f = !c in
   (* flowlint: bounded a CAS miss means another scan raised pin_floor concurrently, which is progress *)
   let rec bump () =
-    let cur = Satomic.get vst.pin_floor in
+    let cur = Satomic.get epochs.pin_floor in
     if cur < f then begin
-      if not (Satomic.compare_and_set vst.pin_floor cur f) then bump ()
+      if not (Satomic.compare_and_set epochs.pin_floor cur f) then bump ()
     end
   in
-  bump ();
-  f
+  bump ()
 
-(* Install one captured version into its bucket.  Preference order: a
-   slot already holding the same (addr, del) record — a racing helper
-   captured the identical overwrite — then an empty slot, then a slot
-   whose version expired below the floor; otherwise the bucket's
-   overflow list, pruning expired entries in the same CAS.
+let floor_period = 32
 
-   [floor_hint] is a value known by the caller to be <= ro_stable right
-   now (put_one passes [seq - 1]: the commit CAS for [seq] required
-   request [seq - 1] closed, and every path into the apply phase bumps
-   ro_stable accordingly first).  While no reader has ever registered in
-   [pin_watermark] the hint IS a sound floor — a future reader's epoch
-   is >= the ro_stable it pins, which is >= the hint — so the hot
-   write-only path expires old versions without reading pin_floor or
-   scanning a single era. *)
-let vinstall inst ~floor_hint b (v : version) =
-  let vst = inst.vst in
-  let base = b * vslots_per in
-  let installed = ref false in
-  let floor = ref (-1) in
-  let get_floor () =
-    (if !floor < 0 then
-       if Satomic.get vst.pin_watermark = 0 then floor := floor_hint
-       else floor := Satomic.get vst.pin_floor);
-    !floor
-  in
-  let try_slots () =
-    for i = 0 to vslots_per - 1 do
-      if not !installed then begin
-        let cell = vst.vslots.(base + i) in
-        match Satomic.get cell with
-        | Some u when u.vaddr = v.vaddr && u.vdel = v.vdel -> installed := true
-        | None as cur ->
-            if Satomic.compare_and_set cell cur (Some v) then installed := true
-        | Some u as cur when u.vdel < get_floor () ->
-            if Satomic.compare_and_set cell cur (Some v) then installed := true
-        | Some _ -> ()
-      end
-    done
-  in
-  try_slots ();
-  if not !installed then begin
-    floor := refresh_floor inst;
-    try_slots ();
-    if not !installed then begin
-      let floor = !floor in
-      let cell = vst.voverflow.(b) in
-      (* flowlint: bounded a CAS miss means a racing capture replaced the list — progress — and the duplicate check then stops this one *)
-      let rec go () =
-        let cur = Satomic.get cell in
-        if not (List.exists (fun u -> u.vaddr = v.vaddr && u.vdel = v.vdel) cur)
-        then
-          let keep = List.filter (fun u -> u.vdel >= floor) cur in
-          if not (Satomic.compare_and_set cell cur (v :: keep)) then go ()
-      in
-      go ()
-    end
-  end
+(* The prune floor of one apply pass for commit [seq], read once per pass.
+   [seq - 1] is <= ro_stable by now (the committer bumped ro_stable to
+   [seq - 1] before its commit CAS), so while no reader has ever
+   registered in [pin_watermark] it IS a sound floor — a future reader's
+   epoch is >= the ro_stable it pins — and write-only workloads prune
+   without reading pin_floor or scanning a single era. *)
+let apply_floor inst ~seq =
+  if Satomic.get inst.epochs.pin_watermark = 0 then seq - 1
+  else Satomic.get inst.epochs.pin_floor
 
 (* Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).
 
-   Before the winning CAS the word about to be overwritten is captured
-   into the version store: it covered the commit interval
-   [w.s, seq - 1], exactly what a reader pinned inside that interval
-   still needs.  Capture precedes the CAS so no reader can observe the
-   new word while the old version is absent from the store; racing
-   helpers capture the identical record and dedup on (addr, del). *)
-let put_one inst ~seq addr v =
+   A data word is written as [Word.make_over v seq w]: the overwritten
+   word [w], which covered the commit interval [w.s, seq - 1], becomes
+   the new word's predecessor, so the same DCAS publishes the value and
+   the version a reader pinned inside that interval still needs.  Racing
+   helpers build their own candidate over the same [w]; one DCAS wins and
+   the losers re-load a word with [s = seq] and stop, so the chain never
+   holds a duplicate.  The winner then cuts [w]'s chain behind the node
+   covering [floor]: no reader (epoch >= floor) walks past that node. *)
+let put_at inst ~floor ~seq addr v =
   (* flowlint: bounded a CAS miss means a helper already installed this entry with sequence >= seq, so the seq guard fails on the next round *)
   let rec go () =
     let w = Region.load inst.region addr in
-    if w.Word.s < seq then begin
-      if addr >= inst.roots_base then
-        vinstall inst ~floor_hint:(seq - 1) (vbucket addr)
-          { vaddr = addr; vval = w.Word.v; vbirth = w.Word.s; vdel = seq - 1 };
-      if not (Region.cas inst.region addr w (Word.make v seq)) then go ()
-    end
+    if w.Word.s < seq then
+      if addr >= inst.roots_base then begin
+        if Region.cas inst.region addr w (Word.make_over v seq w) then
+          Word.cut (chain_find w floor)
+        else go ()
+      end
+      else if not (Region.cas inst.region addr w (Word.make v seq)) then go ()
   in
   go ()
+
+let put_one inst ~seq addr v =
+  put_at inst ~floor:(apply_floor inst ~seq) ~seq addr v
 
 let close_request inst ~tid ~seq =
   let cell = req_cell inst tid in
@@ -608,8 +544,9 @@ let pwb_dedup inst ~me ~gen addr =
    cache line. *)
 let apply_own inst ~me ~seq (ws : Writeset.t) =
   let n = Writeset.size ws in
+  let floor = apply_floor inst ~seq in
   for i = 0 to n - 1 do
-    put_one inst ~seq (Writeset.addr_at ws i) (Writeset.val_at ws i)
+    put_at inst ~floor ~seq (Writeset.addr_at ws i) (Writeset.val_at ws i)
   done;
   let gen = flush_gen inst ~me in
   let last = ref (-1) in
@@ -640,11 +577,12 @@ let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
     && i land (help_check_interval - 1) = 0
     && (Region.load region req).Word.v <> seq
   in
+  let floor = apply_floor inst ~seq in
   let rec put_from i =
     if i >= n then true
     else if closed i then false
     else begin
-      put_one inst ~seq addrs.(i) vals.(i);
+      put_at inst ~floor ~seq addrs.(i) vals.(i);
       put_from (i + 1)
     end
   in
@@ -697,7 +635,7 @@ let help inst ~me (ct : Word.t) =
    end);
   (* every exit above means [seq] is fully applied: either this thread ran
      the apply to completion, or whoever closed the request did first *)
-  stable_bump inst.vst seq
+  stable_bump inst.epochs seq
 
 (* Raise [ro_stable] to at least [seq] (a commit sequence that already
    won its CAS) before an update returns: a later snapshot reader must
@@ -706,13 +644,13 @@ let help inst ~me (ct : Word.t) =
    commit CAS requires the predecessor closed), curTx open at [seq]
    itself is finished by helping, and a closed curTx is applied. *)
 let ensure_stable inst ~me seq =
-  if Satomic.get inst.vst.ro_stable < seq then begin
+  if Satomic.get inst.epochs.ro_stable < seq then begin
     let ct = read_curtx inst in
     if is_open inst ct then begin
       if ct.Word.v <= seq then help inst ~me ct
-      else stable_bump inst.vst (ct.Word.v - 1)
+      else stable_bump inst.epochs (ct.Word.v - 1)
     end
-    else stable_bump inst.vst ct.Word.v
+    else stable_bump inst.epochs ct.Word.v
   end
 
 (* Write the redo log into this thread's persistent log area and open the
@@ -779,17 +717,17 @@ let region inst = inst.region
    two ro_stable reads; see [refresh_floor] for why the returned epoch
    is always protected. *)
 let snap_pin inst =
-  let vst = inst.vst in
-  (if not vst.pinned_once.(Sched.self ()) then begin
+  let epochs = inst.epochs in
+  (if not epochs.pinned_once.(Sched.self ()) then begin
      (* first pin by this thread slot, ever: raise the era-scan watermark
         before publishing anything (see [refresh_floor]'s ordering proof) *)
-     vst.pinned_once.(Sched.self ()) <- true;
+     epochs.pinned_once.(Sched.self ()) <- true;
      let wm = Sched.self () + 1 in
      (* flowlint: bounded a CAS miss means another first-time reader raised the watermark, which is progress *)
      let rec bump () =
-       let cur = Satomic.get vst.pin_watermark in
+       let cur = Satomic.get epochs.pin_watermark in
        if cur < wm then
-         if not (Satomic.compare_and_set vst.pin_watermark cur wm) then bump ()
+         if not (Satomic.compare_and_set epochs.pin_watermark cur wm) then bump ()
      in
      bump ()
    end);
@@ -801,16 +739,16 @@ let snap_pin inst =
        abandoned between the two leaves a mirror with no era behind it,
        which the orphan release clears harmlessly; the opposite order
        would leak an unreleasable pin *)
-    vst.pin_mine.(Sched.self ()) <- e;
+    epochs.pin_mine.(Sched.self ()) <- e;
     Hazard_eras.set_era inst.he e;
     Telemetry.tick inst.c_ro_pins;
     e
   end
   else begin
-    let e = Satomic.get inst.vst.ro_stable in
-    vst.pin_mine.(Sched.self ()) <- e;
+    let e = Satomic.get inst.epochs.ro_stable in
+    epochs.pin_mine.(Sched.self ()) <- e;
     Hazard_eras.set_era inst.he e;
-    let r = Satomic.get inst.vst.ro_stable in
+    let r = Satomic.get inst.epochs.ro_stable in
     Telemetry.tick inst.c_ro_pins;
     r
   end
@@ -819,18 +757,19 @@ let snap_unpin inst =
   Hazard_eras.clear inst.he;
   (* mirror cleared AFTER the era: the plain write runs in the same
      scheduling quantum as the clear, so no abandonment gap exists here *)
-  inst.vst.pin_mine.(Sched.self ()) <- 0
+  inst.epochs.pin_mine.(Sched.self ()) <- 0
 
 (* Release the era pin of a fiber that was abandoned mid-snapshot-read
    on this thread slot (the simulation's stand-in for a killed thread):
    the stale pin would hold [pin_floor] down forever.  The [pin_mine]
    mirror makes the common no-orphan case a plain read — zero steps. *)
 let release_orphan_pin inst ~me =
-  if inst.vst.pin_mine.(me) <> 0 then snap_unpin inst
+  if inst.epochs.pin_mine.(me) <> 0 then snap_unpin inst
 
 (* flowlint: ok unpinned-snapshot-load instance-level resolver for Tm_shard, whose cross-shard driver pins every shard before loading *)
 let snap_load inst epoch addr =
-  snap_resolve ~region:inst.region ~chk:inst.checker inst.vst epoch addr
+  snap_resolve ~region:inst.region ~chk:inst.checker
+    ~floor:inst.epochs.pin_floor epoch addr
 
 (* The wait-free read-only fast path: pin an epoch, run the closure
    against that frozen snapshot, unpin.  Zero aborts, zero restarts,
@@ -853,7 +792,7 @@ let snap_read_tx inst f =
       tx.snap_epoch <- -1;
       with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
       Telemetry.tick inst.c_ro_commits;
-      Telemetry.observe inst.s_ro_lag (Satomic.get inst.vst.ro_stable - r);
+      Telemetry.observe inst.s_ro_lag (Satomic.get_relaxed inst.epochs.ro_stable - r);
       snap_unpin inst;
       v
 
@@ -863,41 +802,6 @@ let snapshot_ops = { Tm.Tm_intf.snap_pin; snap_load; snap_unpin }
 (* Lock-free transactions (§III-B)                                     *)
 
 let lf_read_tx = snap_read_tx
-
-(* The pre-snapshot validating read path, kept as the comparison
-   baseline for --figure readmix: optimistic reads against curTx with
-   helping and restart on conflict. *)
-let lf_read_tx_validating inst f =
-  let me = Sched.self () in
-  let tx = inst.txs.(me) in
-  let st = stats inst in
-  release_orphan_pin inst ~me;
-  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress *)
-  let rec attempt () =
-    let ct = read_curtx inst in
-    if is_open inst ct then begin
-      help inst ~me ct;
-      attempt ()
-    end
-    else begin
-      tx.start_seq <- ct.Word.v;
-      tx.read_only <- true;
-      tx.snap_epoch <- -1;
-      with_chk inst.checker (fun c ->
-          Tmcheck.tx_begin c ~read_only:true ~start_seq:tx.start_seq);
-      match f tx with
-      | exception Abort ->
-          with_chk inst.checker Tmcheck.tx_abort;
-          st.Pstats.aborts <- st.Pstats.aborts + 1;
-          Telemetry.tick inst.c_aborts;
-          attempt ()
-      | r ->
-          with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
-          Telemetry.tick inst.c_ro_commits;
-          r
-    end
-  in
-  attempt ()
 
 let lf_update_tx inst f =
   let me = Sched.self () in
@@ -909,12 +813,12 @@ let lf_update_tx inst f =
   let rec attempt () =
     let ct = read_curtx inst in
     if is_open inst ct then begin
-      stable_bump inst.vst (ct.Word.v - 1);
+      stable_bump inst.epochs (ct.Word.v - 1);
       help inst ~me ct;
       attempt ()
     end
     else begin
-      stable_bump inst.vst ct.Word.v;
+      stable_bump inst.epochs ct.Word.v;
       tx.start_seq <- ct.Word.v;
       tx.read_only <- false;
       (* a fiber abandoned mid-snapshot-read leaves its pin behind;
@@ -946,7 +850,8 @@ let lf_update_tx inst f =
               Region.pwb inst.region curtx_cell;
               apply_own inst ~me ~seq tx.ws;
               close_request inst ~tid:me ~seq;
-              stable_bump inst.vst seq;
+              stable_bump inst.epochs seq;
+              if seq mod floor_period = 0 then refresh_floor inst;
               st.Pstats.commits <- st.Pstats.commits + 1;
               Telemetry.tick inst.c_commits;
               Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
@@ -1031,12 +936,12 @@ let wf_update_tx inst f =
     else begin
       let ct = read_curtx inst in
       if is_open inst ct then begin
-        stable_bump inst.vst (ct.Word.v - 1);
+        stable_bump inst.epochs (ct.Word.v - 1);
         help inst ~me ct;
         loop ()
       end
       else begin
-        stable_bump inst.vst ct.Word.v;
+        stable_bump inst.epochs ct.Word.v;
         tx.start_seq <- ct.Word.v;
         tx.read_only <- false;
         tx.snap_epoch <- -1;
@@ -1067,7 +972,8 @@ let wf_update_tx inst f =
                 Region.pwb region_ curtx_cell;
                 apply_own inst ~me ~seq tx.ws;
                 close_request inst ~tid:me ~seq;
-                stable_bump inst.vst seq;
+                stable_bump inst.epochs seq;
+                if seq mod floor_period = 0 then refresh_floor inst;
                 st.Pstats.commits <- st.Pstats.commits + 1;
                 Telemetry.tick inst.c_commits
               end
@@ -1086,48 +992,6 @@ let wf_update_tx inst f =
   r
 
 let wf_read_tx inst f = snap_read_tx inst f
-
-(* Pre-snapshot-store read path, kept for the readmix benchmark baseline:
-   optimistic validated reads with a bounded retry budget falling back to
-   the wait-free update path. *)
-let wf_read_tx_validating inst f =
-  let me = Sched.self () in
-  let tx = inst.txs.(me) in
-  let st = stats inst in
-  release_orphan_pin inst ~me;
-  (* flowlint: bounded k strictly decreases to the wf_update_tx fallback *)
-  let rec attempt k =
-    if k <= 0 then begin
-      (* bounded fallback: publish the read-only function as an operation *)
-      Telemetry.tick inst.c_wf_fallbacks;
-      wf_update_tx inst f
-    end
-    else begin
-      let ct = read_curtx inst in
-      if is_open inst ct then begin
-        help inst ~me ct;
-        attempt k
-      end
-      else begin
-        tx.start_seq <- ct.Word.v;
-        tx.read_only <- true;
-        tx.snap_epoch <- -1;
-        with_chk inst.checker (fun c ->
-            Tmcheck.tx_begin c ~read_only:true ~start_seq:tx.start_seq);
-        match f tx with
-        | exception Abort ->
-            with_chk inst.checker Tmcheck.tx_abort;
-            st.Pstats.aborts <- st.Pstats.aborts + 1;
-            Telemetry.tick inst.c_aborts;
-            attempt (k - 1)
-        | r ->
-            with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
-            Telemetry.tick inst.c_ro_commits;
-            r
-      end
-    end
-  in
-  attempt inst.read_tries
 
 (* Debug view of the commit state: (seq, tid, request still open).  Uses
    peeks — no scheduling steps, no counters; safe from an [on_round] hook. *)
@@ -1162,15 +1026,13 @@ let recover inst =
     Telemetry.tick inst.c_rec_helped;
     help inst ~me:0 ct
   end;
-  (* The snapshot version store is volatile: rebuild epoch bookkeeping from
-     the durable image.  Pre-crash readers are gone, so no era pins or
-     shadow versions survive; the recovered state is epoch [ct.v] exactly. *)
-  Array.iter (fun c -> Satomic.set c None) inst.vst.vslots;
-  Array.iter (fun c -> Satomic.set c []) inst.vst.voverflow;
+  (* Epoch bookkeeping is volatile: rebuild it from the durable image.
+     Pre-crash readers are gone, so no era pins survive; the recovered
+     state is epoch [ct.v] exactly. *)
   Hazard_eras.reset inst.he;
-  Array.fill inst.vst.pinned_once 0 (Array.length inst.vst.pinned_once) false;
-  Array.fill inst.vst.pin_mine 0 (Array.length inst.vst.pin_mine) 0;
-  Satomic.set inst.vst.pin_watermark 0;
-  Satomic.set inst.vst.ro_stable ct.Word.v;
-  Satomic.set inst.vst.pin_floor ct.Word.v;
+  Array.fill inst.epochs.pinned_once 0 (Array.length inst.epochs.pinned_once) false;
+  Array.fill inst.epochs.pin_mine 0 (Array.length inst.epochs.pin_mine) 0;
+  Satomic.set inst.epochs.pin_watermark 0;
+  Satomic.set inst.epochs.ro_stable ct.Word.v;
+  Satomic.set inst.epochs.pin_floor ct.Word.v;
   Region.pfence inst.region

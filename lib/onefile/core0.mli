@@ -17,7 +17,6 @@ val create :
   ?max_threads:int ->
   ?ws_cap:int ->
   ?num_roots:int ->
-  ?read_tries:int ->
   ?linear_threshold:int ->
   unit ->
   t
@@ -44,19 +43,13 @@ val lf_update_tx : t -> (tx -> 'a) -> 'a
 val wf_read_tx : t -> (tx -> int) -> int
 val wf_update_tx : t -> (tx -> int) -> int
 
-val lf_read_tx_validating : t -> (tx -> 'a) -> 'a
-val wf_read_tx_validating : t -> (tx -> int) -> int
-(** Pre-snapshot-store read paths (optimistic reads validated against
-    curTx, restarting on conflict).  [read_tx] now runs on the wait-free
-    snapshot path (see {!snapshot_ops}); these remain as the comparison
-    baseline for the readmix benchmark and the paper's §III-B/§III-E
-    read algorithms. *)
-
 (** {1 Wait-free snapshot reads} (DESIGN.md §13)
 
-    Writers keep a bounded volatile version store of overwritten words;
-    a read-only transaction pins the newest fully-applied sequence number
-    through the hazard-era slots and resolves every load at that epoch —
+    Every data word carries the word it overwrote (its {!Pmem.Word.t}
+    predecessor link), published by the same DCAS as the new value and
+    pruned behind the readers' floor.  A read-only transaction pins the
+    newest fully-applied sequence number through the hazard-era slots
+    and resolves every load at that epoch —
     no aborts, no restarts, no flushes, bounded steps.  [read_tx] on both
     front-ends uses this path.  The pieces are exposed individually so
     {!Tm.Tm_shard} can assemble cross-shard snapshot reads. *)
@@ -65,8 +58,11 @@ val snap_pin : t -> int
 (** Publish and return a snapshot epoch for the calling thread. *)
 
 val snap_load : t -> int -> int -> int
-(** [snap_load t epoch addr]: the value of [addr] as of [epoch].  Only
-    valid between [snap_pin] and [snap_unpin] on the same thread. *)
+(** [snap_load t epoch addr]: the value of [addr] as of [epoch] — one
+    shared load plus a step-free walk down the cell's version chain.  Only
+    valid between [snap_pin] and [snap_unpin] on the same thread; raises
+    {!Tm.Tm_intf.Snapshot_version_missing} (in the caller only) if the
+    chain holds no version old enough, which the prune floor rules out. *)
 
 val snap_unpin : t -> unit
 
@@ -115,7 +111,7 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
 (** Wire this instance into the registry: transaction counters and the
     commit-latency span ("tx.commits", "tx.ro_commits", "tx.ro_epoch_pins",
     "tx.aborts", "tx.helps", "tx.help_exits", "log.recycles",
-    "wf.published", "wf.aggregated", "wf.fallbacks", "recovery.runs",
+    "wf.published", "wf.aggregated", "recovery.runs",
     "recovery.helped", spans "tx.latency" and "ro.snapshot_lag"),
     the region's Pstats as a pull source ("pmem.*"),
     and the hazard-era reclaimer ("he.*").  All instance counters are
@@ -163,7 +159,9 @@ val read_curtx : t -> Pmem.Word.t
 val is_open : t -> Pmem.Word.t -> bool
 
 val put_one : t -> seq:int -> int -> int -> unit
-(** Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15). *)
+(** Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).  A
+    data cell's new word links the overwritten word as its snapshot
+    predecessor; the chain is then cut behind the readers' prune floor. *)
 
 val close_request : t -> tid:int -> seq:int -> unit
 val publish_log : t -> me:int -> Writeset.t -> seq:int -> unit

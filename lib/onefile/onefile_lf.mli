@@ -17,7 +17,6 @@ val create :
   ?max_threads:int ->
   ?ws_cap:int ->
   ?num_roots:int ->
-  ?read_tries:int ->
   ?linear_threshold:int ->
   unit ->
   t
@@ -34,12 +33,6 @@ val linear_threshold : t -> int
 
 val instance : t -> string
 (** The telemetry-prefix instance id ([""] by default). *)
-
-val read_tx_validating : t -> (tx -> 'a) -> 'a
-(** The pre-snapshot-store read path (optimistic reads validated against
-    [curTx], restarting on conflict).  {!read_tx} itself now runs on the
-    wait-free snapshot path; this baseline remains for the readmix
-    benchmark and as the paper's §III-B read algorithm. *)
 
 val snapshot_ops : t Tm.Tm_intf.snapshot_ops
 (** Wait-free snapshot-read primitives (epoch pin / load-at-epoch /

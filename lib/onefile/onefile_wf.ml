@@ -8,7 +8,6 @@ let linear_threshold = Core0.linear_threshold
 let instance = Core0.instance
 let faults = Core0.faults
 let read_tx = Core0.wf_read_tx
-let read_tx_validating = Core0.wf_read_tx_validating
 let update_tx = Core0.wf_update_tx
 let snapshot_ops = Core0.snapshot_ops
 let load = Core0.load

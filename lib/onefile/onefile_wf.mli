@@ -4,8 +4,9 @@
     operations array; an updater aggregates every published-but-uncommitted
     operation into a single write-set, so after at most two commits
     following publication the operation's result is guaranteed to be in the
-    results array.  Read-only transactions fall back to publication after
-    [read_tries] failed optimistic attempts (4 in the paper).  Closure
+    results array.  Read-only transactions run on the wait-free snapshot
+    path (DESIGN.md §13) and never need the paper's fallback to
+    publication after failed optimistic attempts.  Closure
     descriptors are reclaimed with hazard eras keyed on transaction
     sequence numbers (§IV-B). *)
 
@@ -19,7 +20,6 @@ val create :
   ?max_threads:int ->
   ?ws_cap:int ->
   ?num_roots:int ->
-  ?read_tries:int ->
   ?linear_threshold:int ->
   unit ->
   t
@@ -32,12 +32,6 @@ val linear_threshold : t -> int
 
 val instance : t -> string
 (** The telemetry-prefix instance id ([""] by default). *)
-
-val read_tx_validating : t -> (tx -> int) -> int
-(** The pre-snapshot-store read path: optimistic validated reads with a
-    bounded retry budget falling back to {!update_tx} publication (the
-    paper's §III-E read algorithm).  {!read_tx} itself now runs on the
-    wait-free snapshot path. *)
 
 val snapshot_ops : t Tm.Tm_intf.snapshot_ops
 (** Wait-free snapshot-read primitives (epoch pin / load-at-epoch /
@@ -73,7 +67,7 @@ val checker : t -> Check.Tmcheck.t option
 val attach_telemetry : t -> Runtime.Telemetry.t -> unit
 (** Wire this instance into a {!Runtime.Telemetry} registry: transaction
     counters plus the wait-free machinery ("wf.published",
-    "wf.aggregated", "wf.fallbacks"), the "tx.latency" span, the region's
+    "wf.aggregated"), the "tx.latency" span, the region's
     Pstats pull source ("pmem.*") and the hazard-era reclaimer ("he.*").
     While detached (the default) every bump is a no-op. *)
 

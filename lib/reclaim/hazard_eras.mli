@@ -41,8 +41,9 @@ val clear : 'a t -> unit
 
 val era : 'a t -> int -> int
 (** [era t i] is the era thread [i] currently publishes (0 = none).
-    Exposed so external reclamation schemes — e.g. the OneFile snapshot
-    version store — can compute a floor over every active reader. *)
+    Exposed so external reclamation schemes — e.g. the prune floor of
+    OneFile's in-cell version chains — can compute a floor over every
+    active reader. *)
 
 val reset : 'a t -> unit
 (** Clear every thread's published era (post-crash recovery: pre-crash

@@ -16,6 +16,12 @@ exception Abort
 exception Store_in_read_tx
 (** Raised when user code calls [store]/[alloc]/[free] inside [read_tx]. *)
 
+exception Snapshot_version_missing of { addr : int; epoch : int }
+(** A snapshot read pinned at [epoch] found no version of [addr] old
+    enough.  Writers never prune a version a pinned reader can need, so
+    this signals a broken floor invariant, not a retryable conflict.  It
+    is raised only in the reading thread, never in a writer or helper. *)
+
 module type S = sig
   type t
   (** A TM instance: a region plus the metadata of this algorithm. *)
@@ -58,7 +64,7 @@ end
 type alloc_ops = { aload : int -> int; astore : int -> int -> unit }
 
 (** Wait-free snapshot-read primitives of a TM instance, when it has them
-    (OneFile's epoch-stamped version store).  [snap_pin] publishes a read
+    (OneFile's in-cell version chains).  [snap_pin] publishes a read
     epoch for the calling thread and returns it; [snap_load inst epoch
     addr] resolves [addr] at that epoch without aborting, retrying or
     flushing; [snap_unpin] releases the epoch.  Used by {!Tm_shard} to

@@ -1,10 +1,10 @@
 (* Planted violations: the wait-free snapshot-read protocol with the
    epoch pin missing or retired too early — the version walk then runs
-   with no published read era, so reclamation can free the versions
+   with no published read era, so writers can cut away the versions
    under it (DESIGN.md §13).  Expected: unpinned-snapshot-load at each
    load outside a pin-dominated region. *)
 
-(* no pin at all: the load walks the version store unprotected *)
+(* no pin at all: the load walks a version chain unprotected *)
 let read_bad inst addr =
   let v = snap_load inst (stable_of inst) addr in
   snap_unpin inst;

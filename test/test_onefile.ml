@@ -349,9 +349,10 @@ let test_wf_result_values_correct () =
   Array.iteri (fun i r -> check bool (Printf.sprintf "fiber %d got result" i) true (r >= 0)) results
 
 let test_wf_readonly_fallback () =
-  (* With read_tries = 0, read-only transactions are forced through the
-     operations array; they must still return correct values. *)
-  let t = Wf.create ~mode:Region.Volatile ~read_tries:0 () in
+  (* The paper's read-only fallback: a read-only function published
+     through the operations array (update_tx) must return the same value
+     as the wait-free snapshot read_tx running next to it. *)
+  let t = Wf.create ~mode:Region.Volatile () in
   let r0 = Wf.root t 0 in
   ignore (Wf.update_tx t (fun tx -> Wf.store tx r0 99; 0));
   let v =
@@ -597,6 +598,246 @@ let test_wf_cost_counts () =
   check int "dcas count" nw' d.Pstats.dcas;
   check int "one commit" 1 d.Pstats.commits
 
+(* ------------------------------------------------------------------ *)
+(* In-cell version chains (DESIGN.md §13)                              *)
+
+module Core0 = Onefile.Core0
+module Sh_lf = Tm.Tm_shard.Make (Lf)
+
+(* Predecessors behind a cell word, walked step-free. *)
+let chain_preds (w : Word.t) =
+  let rec go (n : Word.t) k = if n == Word.nil then k else go n.Word.p (k + 1) in
+  go w.Word.p 0
+
+(* A reader pinned before a burst of overwrites of one cell by other
+   fibers still resolves the pre-burst value.  40 overwrites also cross
+   the committers' floor refresh, which must respect the pin; and a later
+   reader that resolves the newest word in between must not cut away the
+   version the older pin still needs. *)
+let test_pinned_reader_many_overwrites api () =
+  let t = api.mk ~mode:Region.Volatile ~max_threads:8 () in
+  let r0 = Lf.root t 0 in
+  ignore (api.update t (fun tx -> Lf.store tx r0 100; 0));
+  let pinned = ref false and writers_done = ref 0 and late_done = ref false in
+  let first = ref (-1) and second = ref (-1) and late = ref (-1) in
+  let chain = ref 0 in
+  let reader () =
+    ignore
+      (api.read t (fun tx ->
+           first := Lf.load tx r0;
+           pinned := true;
+           while not !late_done do
+             Sched.step_point ()
+           done;
+           chain := chain_preds (Region.peek (Lf.region t) r0);
+           second := Lf.load tx r0;
+           0))
+  in
+  let writer k () =
+    while not !pinned do
+      Sched.step_point ()
+    done;
+    for i = 1 to 20 do
+      ignore (api.update t (fun tx -> Lf.store tx r0 ((1000 * k) + i); 0))
+    done;
+    incr writers_done
+  in
+  let late_reader () =
+    while !writers_done < 2 do
+      Sched.step_point ()
+    done;
+    late := api.read t (fun tx -> Lf.load tx r0);
+    late_done := true
+  in
+  ignore (Sched.run ~seed:3 [| reader; writer 1; writer 2; late_reader |]);
+  check int "first load under the pin" 100 !first;
+  check bool "a later reader sees a writer's last value" true
+    (!late = 1020 || !late = 2020);
+  check bool ">= 5 overwrites kept behind the head" true (!chain >= 5);
+  check int "pinned reader still reads the pre-value" 100 !second
+
+(* The memory bound: once pin_floor has passed every write, one more
+   overwrite of a cell leaves it with at most one predecessor, and no heap
+   cell anywhere holds more. *)
+let test_chain_bound_after_floor api () =
+  let t = api.mk ~mode:Region.Volatile ~max_threads:8 () in
+  let cells = 16 in
+  let blk = api.update t (fun tx -> Lf.alloc tx cells) in
+  ignore
+    (Sched.run ~seed:9
+       (Array.init 4 (fun f () ->
+            for k = 1 to 12 do
+              if f < 2 then
+                ignore
+                  (api.update t (fun tx ->
+                       let a = blk + (((f * 7) + k) mod cells) in
+                       Lf.store tx a (Lf.load tx a + 1);
+                       0))
+              else
+                ignore
+                  (api.read t (fun tx ->
+                       let s = ref 0 in
+                       for i = 0 to cells - 1 do
+                         s := !s + Lf.load tx (blk + i)
+                       done;
+                       !s))
+            done)));
+  (* more than one floor period of commits elsewhere: the committers'
+     floor refresh now passes every write above *)
+  for k = 1 to 64 do
+    ignore (api.update t (fun tx -> Lf.store tx (Lf.root t 0) k; 0))
+  done;
+  ignore
+    (api.update t (fun tx ->
+         for i = 0 to cells - 1 do
+           Lf.store tx (blk + i) (Lf.load tx (blk + i) + 1)
+         done;
+         0));
+  let r = Lf.region t in
+  let worst = ref 0 in
+  for a = (Core0.layout t).Check.Tmcheck.heap_base to Region.size r - 1 do
+    worst := max !worst (chain_preds (Region.peek r a))
+  done;
+  check int "at most one predecessor per heap cell" 1 !worst;
+  (* readers cut too: once the floor has passed the last write, one
+     snapshot read of a cell leaves it with no predecessor at all *)
+  for k = 1 to 64 do
+    ignore (api.update t (fun tx -> Lf.store tx (Lf.root t 0) k; 0))
+  done;
+  ignore
+    (api.read t (fun tx ->
+         for i = 0 to cells - 1 do
+           ignore (Lf.load tx (blk + i))
+         done;
+         0));
+  for i = 0 to cells - 1 do
+    check int "no predecessor after a read past the floor" 0
+      (chain_preds (Region.peek r (blk + i)))
+  done
+
+(* Two helpers racing to apply the same committed write-set — every
+   interleaving within two preemptions — leave one chain per cell: the
+   head at the new seq directly over the overwritten word, no duplicate
+   node, and the overwritten word cut behind itself. *)
+let test_racing_helpers_one_chain () =
+  let raced = ref false in
+  let execute ~prefix =
+    let t =
+      Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~max_threads:4 ~ws_cap:16 ()
+    in
+    let r = Lf.region t in
+    let addrs = Array.init 4 (fun i -> Lf.root t i) in
+    ignore (Lf.update_tx t (fun tx -> Array.iter (fun a -> Lf.store tx a 1) addrs; 0));
+    let before = Array.map (Region.peek r) addrs in
+    let ws = Writeset.create 16 in
+    Array.iteri (fun i a -> Writeset.put ws a (10 + i)) addrs;
+    let ct = Core0.read_curtx t in
+    let seq = ct.Word.v + 1 in
+    Core0.publish_log t ~me:2 ws ~seq;
+    if not (Region.cas1 r Core0.curtx_cell ct (Word.make seq 2)) then
+      Alcotest.fail "commit CAS";
+    let ct = Region.peek r Core0.curtx_cell in
+    let st = Region.stats r in
+    let fails0 = st.Pstats.dcas_fail in
+    let recd =
+      Explore.run ~pick:(Explore.pick_prefix ~prefix)
+        [| (fun () -> Core0.help t ~me:0 ct); (fun () -> Core0.help t ~me:1 ct) |]
+    in
+    if st.Pstats.dcas_fail > fails0 then raced := true;
+    let bad = ref None in
+    Array.iteri
+      (fun i a ->
+        let w = Region.peek r a in
+        if
+          not
+            (w.Word.s = seq && w.Word.v = 10 + i && w.Word.p == before.(i)
+            && before.(i).Word.p == Word.nil)
+        then
+          bad :=
+            Some (Format.asprintf "cell %d: chain %a -> %a" a Word.pp w Word.pp w.Word.p))
+      addrs;
+    (recd, !bad)
+  in
+  let cov, failure = Explore.enumerate ~preemption_bound:2 ~execute () in
+  (match failure with Some m -> Alcotest.fail m | None -> ());
+  check bool "schedule space exhausted" true cov.Explore.exhausted;
+  check bool "some schedule made the helpers' DCASes collide" true !raced
+
+(* Cross-shard snapshot audits over LF shards stay exact while a split and
+   a merge move accounts between shards under transfer traffic. *)
+let shard_audit_run ~seed =
+  let n = 2 and span = 4096 in
+  let device = Region.create ~mode:Region.Volatile (n * span) in
+  let views = Region.partition device (List.init n (fun _ -> span)) in
+  let shards =
+    Array.of_list
+      (List.map
+         (fun v ->
+           Lf.create ~region:v ~instance:(Region.id v) ~max_threads:8
+             ~ws_cap:256 ~num_roots:8 ())
+         views)
+  in
+  let tm = Sh_lf.make ~max_threads:8 ~ro_snapshot:Lf.snapshot_ops shards in
+  let accounts = 8 and init = 100 in
+  for i = 0 to accounts - 1 do
+    ignore (Sh_lf.update_tx tm (fun tx -> Sh_lf.store tx (Sh_lf.root tm i) init; 0))
+  done;
+  let sum () =
+    Sh_lf.read_tx tm (fun tx ->
+        let s = ref 0 in
+        for i = 0 to accounts - 1 do
+          s := !s + Sh_lf.load tx (Sh_lf.root tm i)
+        done;
+        !s)
+  in
+  let running = ref 4 and audits = ref 0 and wrong = ref 0 in
+  let worker w () =
+    for i = 1 to 30 do
+      let a = (w + i) mod accounts and b = (w + (2 * i) + 1) mod accounts in
+      if a <> b then
+        ignore
+          (Sh_lf.update_tx tm (fun tx ->
+               let ra = Sh_lf.root tm a and rb = Sh_lf.root tm b in
+               let va = Sh_lf.load tx ra and vb = Sh_lf.load tx rb in
+               Sh_lf.store tx ra (va - 3);
+               Sh_lf.store tx rb (vb + 3);
+               0))
+    done;
+    decr running
+  in
+  let auditor () =
+    while !running > 0 do
+      if sum () <> accounts * init then incr wrong;
+      incr audits
+    done
+  in
+  let migrator () =
+    (match Sh_lf.split tm ~src:0 ~dst:1 with
+    | `Ok -> ()
+    | `Busy | `Invalid _ -> Alcotest.fail "split under traffic");
+    for _ = 1 to 20 do
+      Sched.step_point ()
+    done;
+    (match Sh_lf.merge tm ~src:1 ~dst:0 with
+    | `Ok -> ()
+    | `Busy | `Invalid _ -> Alcotest.fail "merge under traffic");
+    decr running
+  in
+  ignore
+    (Sched.run ~seed
+       (Array.concat
+          [ Array.init 3 (fun w () -> worker w ()); [| auditor; auditor; migrator |] ]));
+  check int "every audit saw the exact total" 0 !wrong;
+  check bool "audits ran during the traffic" true (!audits > 0);
+  check int "total after the round trip" (accounts * init) (sum ());
+  check int "map table empty after split + merge" 0
+    (Array.length (Sh_lf.map_entries tm))
+
+let test_shard_audits_across_migration () =
+  for seed = 1 to 6 do
+    shard_audit_run ~seed
+  done
+
 let () =
   let seq_cases =
     List.concat_map
@@ -665,6 +906,22 @@ let () =
           Alcotest.test_case "read-only fallback" `Quick test_wf_readonly_fallback;
         ] );
       ("crash", crash_cases);
+      ( "version-chains",
+        List.concat_map
+          (fun api ->
+            [
+              Alcotest.test_case (api.label ^ ": pinned reader, many overwrites") `Quick
+                (test_pinned_reader_many_overwrites api);
+              Alcotest.test_case (api.label ^ ": chain bound after floor") `Quick
+                (test_chain_bound_after_floor api);
+            ])
+          apis
+        @ [
+            Alcotest.test_case "racing helpers, one chain" `Quick
+              test_racing_helpers_one_chain;
+            Alcotest.test_case "shard audits across split/merge" `Quick
+              test_shard_audits_across_migration;
+          ] );
       ( "costs",
         [
           Alcotest.test_case "lock-free table row" `Quick test_lf_cost_counts;

@@ -267,7 +267,7 @@ let test_ro_pin_scripted_schedule () =
         parks at its first load, snapshot frozen;
      2. run R2 likewise (tx.ro_epoch_pins = 2);
      3. run W to completion of both updates (tx.commits = 2): the
-        version store captures the overwritten word under the pins;
+        overwritten word stays in r0's version chain under the pins;
      4. resume R1 to its commit (tx.ro_commits = 1), then R2, then
         drain — both must resolve r0 at their pinned epoch. *)
   let pick ~step:_ ~enabled ~last:_ =
@@ -358,46 +358,58 @@ let test_ro_zero_aborts_under_churn () =
      count pin above *)
   check_int "every writer op applied" churn_iters
     (Wf.read_tx tm (fun tx -> Wf.load tx (Wf.root tm 0)));
-  (* control: the pre-change validating read path DOES restart (and
-     tick tx.aborts) when a commit lands mid-read — so the zero above
-     is the snapshot path's doing, not a dead counter.  Scripted: park
-     the validating reader between capturing start_seq and its first
-     load, run the writer to a commit, resume — the load observes
+  (* control: an optimistic read that validates against curTx — a
+     read-only closure run through update_tx — DOES restart (and tick
+     tx.aborts) when a commit lands mid-read, so the zero above is the
+     snapshot path's doing, not a dead counter.  Scripted: park each
+     reader between fixing its start point and its first load, run the
+     writer to a commit, resume.  The snapshot read_tx must return the
+     pre-commit value without a restart; the validating read observes
      seq > start_seq and must abort exactly once. *)
-  let tm' =
-    Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~max_threads:8
-      ~ws_cap:64 ()
-  in
-  let te' = Telemetry.create () in
-  Lf.attach_telemetry tm' te';
-  let r0' = Lf.root tm' 0 in
-  let in_read = ref false in
-  let fibers' =
-    [|
-      (fun () ->
-        ignore
-          (Lf.update_tx tm' (fun tx -> Lf.store tx r0' 7; 0)));
-      (fun () ->
-        ignore
-          (Lf.read_tx_validating tm' (fun tx ->
-               in_read := true;
-               Lf.load tx r0')));
-    |]
-  in
-  let pick ~step:_ ~enabled ~last:_ =
-    let has t = Array.exists (fun x -> x = t) enabled in
-    if Telemetry.get te' "tx.commits" < 1 then
-      if !in_read && has 0 then 0
+  let control ~validating =
+    let tm' =
+      Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~max_threads:8
+        ~ws_cap:64 ()
+    in
+    let te' = Telemetry.create () in
+    Lf.attach_telemetry tm' te';
+    let r0' = Lf.root tm' 0 in
+    let in_read = ref false and seen = ref (-1) in
+    let read f = if validating then Lf.update_tx tm' f else Lf.read_tx tm' f in
+    let fibers' =
+      [|
+        (fun () ->
+          ignore
+            (Lf.update_tx tm' (fun tx -> Lf.store tx r0' 7; 0)));
+        (fun () ->
+          seen :=
+            read (fun tx ->
+                in_read := true;
+                Lf.load tx r0'));
+      |]
+    in
+    let pick ~step:_ ~enabled ~last:_ =
+      let has t = Array.exists (fun x -> x = t) enabled in
+      if Telemetry.get te' "tx.commits" < 1 then
+        if !in_read && has 0 then 0
+        else if has 1 then 1
+        else enabled.(0)
       else if has 1 then 1
       else enabled.(0)
-    else if has 1 then 1
-    else enabled.(0)
+    in
+    let r = Explore.run ~pick fibers' in
+    check_bool "control schedule ran to completion" true
+      (r.Explore.status = Explore.Completed);
+    (Telemetry.get te' "tx.aborts", !seen)
   in
-  let r = Explore.run ~pick fibers' in
-  check_bool "control schedule ran to completion" true
-    (r.Explore.status = Explore.Completed);
+  let aborts, seen = control ~validating:false in
+  check_int "snapshot reader never restarts when a commit lands mid-read" 0
+    aborts;
+  check_int "snapshot reader returns its pinned pre-commit value" 0 seen;
+  let aborts, seen = control ~validating:true in
   check_int "validating reader restarts when a commit lands mid-read" 1
-    (Telemetry.get te' "tx.aborts")
+    aborts;
+  check_int "validating reader returns the committed value" 7 seen
 
 (* --- cross-shard router ground truth ------------------------------- *)
 
