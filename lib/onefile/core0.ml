@@ -5,7 +5,8 @@
      0..3                       null pointer + padding (cell 0 is NULL)
      4                          curTx            (v = seq, s = tid)
      ws_base + t*ws_stride      per-thread log:  request | numStores | entries
-     wf_base + 3t/3t+1/3t+2     operations[t] / results[t] / acks[t]  (wait-free)
+     wf_base + t                results[t]       (wait-free; packed, 4 per line)
+     wf_base + max_threads + t  operations[t]    (wait-free publication word)
      roots_base ..              user roots
      meta_base ..               allocator metadata
      heap_base .. size          transactional heap
@@ -40,8 +41,8 @@
    read-side cut, where a stale (lower) floor is still sound. *)
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
-   sequential set-up code only; the per-thread flush-dedup scratch is
-   confined to its thread slot. *)
+   sequential set-up code only; the per-thread flush-dedup scratch and the
+   [wf_busy] takeover mirror are confined to their thread slot. *)
 
 module Region = Pmem.Region
 module Word = Pmem.Word
@@ -93,7 +94,9 @@ type tx = {
   ops : Tm.Tm_intf.alloc_ops; (* interposition record, built once per slot *)
 }
 
-type desc = { opid : int; fn : tx -> int; mutable freed : bool }
+(* A published wait-free operation.  It is complete once its owner's
+   result cell carries a sequence greater than [tag] (see [aggregate]). *)
+type desc = { opid : int; tag : int; fn : tx -> int; mutable freed : bool }
 
 (* Test-only fault injection: each flag re-opens a specific, once-real bug
    so the explorer's planted-bug self-checks can prove the harness would
@@ -133,6 +136,7 @@ type t = {
   txs : tx array;
   (* wait-free state *)
   pending : desc option Satomic.t array;
+  wf_busy : bool array; (* slot t published an op it has not yet returned *)
   he : desc Hazard_eras.t;
   next_opid : int Satomic.t;
   (* per-thread scratch used when helping to apply a foreign write-set *)
@@ -166,9 +170,8 @@ type t = {
 let req_cell inst tid = inst.ws_base + (tid * inst.ws_stride)
 let nstores_cell inst tid = req_cell inst tid + 1
 let entry_cell inst tid i = req_cell inst tid + 2 + i
-let op_cell inst tid = inst.wf_base + (3 * tid)
-let res_cell inst tid = inst.wf_base + (3 * tid) + 1
-let ack_cell inst tid = inst.wf_base + (3 * tid) + 2
+let res_cell inst tid = inst.wf_base + tid
+let op_cell inst tid = inst.wf_base + inst.max_threads + tid
 let stats inst = Region.stats inst.region
 
 (* ------------------------------------------------------------------ *)
@@ -209,13 +212,15 @@ let snap_resolve ~region ~chk ~floor epoch addr =
 (* Interposition — defined before [create] so each tx slot can cache its
    ops record instead of rebuilding two closures per allocator call.     *)
 
-let load_shared tx addr =
+let load_word tx addr =
   let w = Region.load tx.txregion addr in
   if w.Word.s > tx.start_seq then raise Abort;
   (match !(tx.txchk) with
   | None -> ()
   | Some c -> Tmcheck.tx_load c ~addr ~v:w.Word.v ~s:w.Word.s);
-  w.Word.v
+  w
+
+let load_shared tx addr = (load_word tx addr).Word.v
 
 let load tx addr =
   (* flowlint: ok unpinned-snapshot-load the snap_epoch guard means snap_read_tx pinned this epoch and unpins only after the closure returns *)
@@ -259,7 +264,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
   let ws_stride = round4 (2 + ws_cap) in
   let ws_base = 8 in
   let wf_base = ws_base + (max_threads * ws_stride) in
-  let roots_base = round4 (wf_base + (3 * max_threads)) in
+  let roots_base = round4 (wf_base + (2 * max_threads)) in
   let meta_base = roots_base + num_roots in
   let heap_base = meta_base + Tm.Tm_alloc.meta_cells in
   if heap_base + 64 > size then invalid_arg "Core0.create: region too small";
@@ -319,6 +324,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       epochs;
       txs;
       pending = Array.init max_threads (fun _ -> Satomic.make None);
+      wf_busy = Array.make max_threads false;
       he = Hazard_eras.create ~max_threads ~free:free_desc ();
       next_opid = Satomic.make 0;
       scratch_addrs = Array.init max_threads (fun _ -> Array.make ws_cap 0);
@@ -871,38 +877,86 @@ let lf_update_tx inst f =
 (* ------------------------------------------------------------------ *)
 (* Wait-free transactions (§III-E)                                     *)
 
-(* Execute every published-but-unacknowledged operation inside [tx],
-   writing each result (and the opid acknowledgment that marks it
-   committed) to the owner's result cells transactionally.
+(* Execute every published, not yet completed operation inside [tx],
+   writing each result to its owner's result cell transactionally.
 
-   Deviation from the paper: the paper detects completion by comparing the
-   sequence numbers of the operation and result TMTypes.  When a killed
-   process is replaced by one reusing its thread slot, two publications can
-   carry the same sequence tag and a laggard helper could complete the old
-   operation in a way the seq comparison attributes to the new one.  An
-   explicit opid acknowledgment cell (opids are globally unique) makes the
-   routing exact; the cost is one extra modified word per operation,
-   reported as such by the cost-table benchmark. *)
+   The scan is pending-first: one read of [pending.(u)] per slot, and the
+   descriptor carries everything else (opid, tag, closure).  Completion is
+   the paper's sequence rule (§III-E): an op is done once its result
+   cell's [s] exceeds the descriptor's [tag], so the result word is the
+   only per-op write.  The result cell is read like any transactional load
+   (a sequence past the snapshot aborts); with the takeover branch below
+   it keeps every executor's snapshot >= [tag] >= the op's hazard-era
+   birth, so hazard eras protect the closure while it runs.
+
+   A slot-takeover op (see [publish_op]) is tagged one past the curTx
+   its publisher saw, and an aggregate whose snapshot is older than that
+   must not run it: its commit could land at [tag] exactly and the owner
+   would miss it.  It re-stores the result cell unchanged instead, so its
+   own commit still carries curTx up to the tag — without that a
+   takeover publisher running alone would find nothing to commit, forever.
+   An ordinary op never takes that branch: its tag is the result cell's
+   sequence at publication, and a snapshot below it aborts on the load. *)
 let aggregate inst tx =
   for u = 0 to inst.max_threads - 1 do
-    let opw = Region.load inst.region (op_cell inst u) in
-    if opw.Word.v <> 0 then begin
-      let ack = load tx (ack_cell inst u) in
-      if ack <> opw.Word.v then
-        match Satomic.get inst.pending.(u) with
-        | Some d when d.opid = opw.Word.v ->
+    match Satomic.get inst.pending.(u) with
+    | None -> ()
+    | Some d ->
+        let cell = res_cell inst u in
+        let w = load_word tx cell in
+        if w.Word.s <= d.tag then
+          if tx.start_seq < d.tag then store tx cell w.Word.v
+          else begin
             (match !(inst.checker) with
             | Some c -> Tmcheck.closure_exec c ~opid:d.opid ~freed:d.freed
             | None ->
                 if d.freed then
                   failwith "OneFile-WF: hazard-era violation (freed closure)");
             Telemetry.tick inst.c_wf_aggregated;
-            let r = d.fn tx in
-            store tx (res_cell inst u) r;
-            store tx (ack_cell inst u) d.opid
-        | _ -> ()
-    end
+            store tx cell (d.fn tx)
+          end
   done
+
+(* Publish operation [fn] in slot [me] under a fresh opid; return its
+   descriptor and its hazard-era birth.
+
+   Ordinarily the tag is the result cell's current sequence: the slot's
+   previous op is complete, so every stale copy of its descriptor already
+   sees its result cell past its own tag.  [wf_busy] says otherwise when
+   this slot's previous owner was killed between publishing and returning
+   (a respawned process reusing the slot, as in the Fig. 12 kill test):
+   its descriptor may still sit in [pending], held by aggregates that can
+   yet commit it and advance the result cell.  Then the publisher first
+   withdraws the old descriptor, reads curTx = c and tags its op c + 1.
+   Any aggregate still holding the old descriptor read it before the
+   withdrawal, so its snapshot is <= c and its commit <= c + 1: it cannot
+   move the result cell past the new tag.  [wf_busy] stays set until the
+   op returns, so a publisher killed inside this takeover hands it on to
+   the next one.  The birth era is the curTx value the descriptor became
+   reachable in. *)
+let publish_op inst ~me fn =
+  let region = inst.region in
+  let opid = Satomic.fetch_and_add inst.next_opid 1 + 1 in
+  let tag, birth =
+    if inst.wf_busy.(me) then begin
+      Satomic.set inst.pending.(me) None;
+      let c = (read_curtx inst).Word.v in
+      (c + 1, c)
+    end
+    else begin
+      inst.wf_busy.(me) <- true;
+      let rs = (Region.load region (res_cell inst me)).Word.s in
+      (rs, rs)
+    end
+  in
+  let d = { opid; tag; fn; freed = false } in
+  Satomic.set inst.pending.(me) (Some d);
+  (* the durable publication record whose pwb the paper's cost table
+     counts; aggregates scan [pending], never this cell *)
+  Region.store region (op_cell inst me) (Word.make opid tag);
+  Region.pwb region (op_cell inst me);
+  Telemetry.tick inst.c_wf_published;
+  (d, birth)
 
 let wf_update_tx inst f =
   let me = Sched.self () in
@@ -911,25 +965,18 @@ let wf_update_tx inst f =
   let region_ = inst.region in
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
-  (* publish the operation (its "birth era" is the seq it was tagged with) *)
-  let opid = Satomic.fetch_and_add inst.next_opid 1 + 1 in
-  let rs = (Region.load region_ (res_cell inst me)).Word.s in
-  let d = { opid; fn = f; freed = false } in
-  Satomic.set inst.pending.(me) (Some d);
-  Region.store region_ (op_cell inst me) (Word.make opid rs);
-  Region.pwb region_ (op_cell inst me);
-  Telemetry.tick inst.c_wf_published;
-  (* flowlint: bounded the op is published in the request ring, so every committing thread helps it; the ack arrives after at most one helping round per active thread *)
+  let d, birth = publish_op inst ~me f in
+  (* flowlint: bounded the op is published in the pending array, so every committing thread helps it; its result lands after at most two helping rounds per active thread (one more for a slot takeover) *)
   let rec loop () =
-    let ackw = Region.load region_ (ack_cell inst me) in
-    if ackw.Word.v = opid then begin
+    let resw = Region.load region_ (res_cell inst me) in
+    if resw.Word.s > d.tag then begin
       (* committed: reclaim the closure descriptor through hazard eras *)
-      let resw = Region.load region_ (res_cell inst me) in
       Satomic.set inst.pending.(me) None;
-      Hazard_eras.retire_at inst.he ~birth:rs ~del:ackw.Word.s d;
+      inst.wf_busy.(me) <- false;
+      Hazard_eras.retire_at inst.he ~birth ~del:resw.Word.s d;
       (* session order for snapshot reads: a snap_read_tx issued by this
          thread after we return must observe this operation's commit. *)
-      ensure_stable inst ~me ackw.Word.s;
+      ensure_stable inst ~me resw.Word.s;
       Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
       resw.Word.v
     end
@@ -1017,6 +1064,7 @@ let allocated_cells inst =
 let recover inst =
   Array.iter (fun tx -> Writeset.clear tx.ws) inst.txs;
   Array.iter (fun p -> Satomic.set p None) inst.pending;
+  Array.fill inst.wf_busy 0 inst.max_threads false;
   (* closures are not executable after a restart: orphaned published
      operations will never run, but committed ones already have their
      results applied by the help below. *)

@@ -3,8 +3,9 @@
     Threads publish each mutative transaction as a closure in a shared
     operations array; an updater aggregates every published-but-uncommitted
     operation into a single write-set, so after at most two commits
-    following publication the operation's result is guaranteed to be in the
-    results array.  Read-only transactions run on the wait-free snapshot
+    following publication (one more when the publisher took over a dead
+    process's thread slot; DESIGN.md §2 item 8) the operation's result is
+    guaranteed to be in the results array.  Read-only transactions run on the wait-free snapshot
     path (DESIGN.md §13) and never need the paper's fallback to
     publication after failed optimistic attempts.  Closure
     descriptors are reclaimed with hazard eras keyed on transaction

@@ -348,6 +348,93 @@ let test_wf_result_values_correct () =
   check int "total increments" 60 (Wf.read_tx t (fun tx -> Lf.load tx r0));
   Array.iteri (fun i r -> check bool (Printf.sprintf "fiber %d got result" i) true (r >= 0)) results
 
+(* Thread-slot reuse under the paper's sequence-tag completion rule.
+   Process 0 runs in slot 0 and is killed at the first round of [kills];
+   at each such round the process then in slot 0 is killed and process
+   i + 1 is respawned into the slot, while [helpers] other fibers keep
+   committing.  Process i's op bumps root i and returns 1000 + i.  A
+   helper that picked up a killed process's op can still commit it after
+   the next process published; that commit must neither count as the new
+   op's completion nor hand it the old result.  Returns the number of
+   times each process's op was applied and the last process's result. *)
+let slot_reuse_run ~seed ~kills ~helpers =
+  let t = Wf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~max_threads:4 ~ws_cap:64 () in
+  let last = List.length kills in
+  let bump r tx = Wf.store tx r (Wf.load tx r + 1) in
+  let got = ref None in
+  (* a process idles after its op so that it is still alive when killed *)
+  let proc i () =
+    if i > 0 then Sched.set_logical 0;
+    let r = Wf.update_tx t (fun tx -> bump (Wf.root t i) tx; 1000 + i) in
+    if i = last then got := Some r
+    else
+      while true do
+        Sched.step_point ()
+      done
+  in
+  let helper () =
+    while !got = None do
+      ignore (Wf.update_tx t (fun tx -> bump (Wf.root t 7) tx; 0))
+    done
+  in
+  let in_slot = ref 0 and next = ref 1 in
+  let on_round s =
+    match List.nth_opt kills (!next - 1) with
+    | Some k when Sched.round s = k ->
+        ignore (Sched.kill s !in_slot);
+        in_slot := Sched.spawn s (proc !next);
+        incr next
+    | _ -> ()
+  in
+  ignore
+    (Sched.run ~seed ~cores:2 ~policy:Sched.Random_order ~max_rounds:20_000 ~on_round
+       (Array.init (1 + helpers) (fun i -> if i = 0 then proc 0 else helper)));
+  (Array.init (last + 1) (fun i -> Wf.read_tx t (fun tx -> Wf.load tx (Wf.root t i))), !got)
+
+let test_wf_slot_reuse () =
+  let verdict ~kills applied got =
+    let last = List.length kills in
+    if Array.exists (fun n -> n > 1) (Array.sub applied 0 last) then
+      Some "a killed process's op applied twice"
+    else if applied.(last) <> 1 then
+      Some (Printf.sprintf "last op applied %d times" applied.(last))
+    else if got = None then Some "last op never returned"
+    else if got <> Some (1000 + last) then Some "last op got another op's result"
+    else None
+  in
+  let failures = ref [] in
+  let run ~seed ~kills ~helpers =
+    let applied, got = slot_reuse_run ~seed ~kills ~helpers in
+    match verdict ~kills applied got with
+    | None -> ()
+    | Some why ->
+        let ks = String.concat "," (List.map string_of_int kills) in
+        failures := Printf.sprintf "seed %d kills %s helpers %d: %s" seed ks helpers why :: !failures
+  in
+  (* one kill, two helpers committing throughout *)
+  for seed = 1 to 12 do
+    for k = 2 to 40 do
+      run ~seed ~kills:[ k ] ~helpers:2
+    done
+  done;
+  (* the respawned process is killed in turn, possibly inside its own
+     takeover, and a third process takes the slot over again *)
+  for seed = 1 to 4 do
+    for k = 2 to 30 do
+      for d = 1 to 4 do
+        run ~seed ~kills:[ k; k + d ] ~helpers:2
+      done
+    done
+  done;
+  (* liveness: the respawned process runs with no other committer, so its
+     own aggregates must carry curTx past its takeover tag *)
+  for k = 2 to 40 do
+    run ~seed:k ~kills:[ k ] ~helpers:0
+  done;
+  match List.rev !failures with
+  | [] -> ()
+  | first :: _ as all -> Alcotest.failf "%d runs wrong; first: %s" (List.length all) first
+
 let test_wf_readonly_fallback () =
   (* The paper's read-only fallback: a read-only function published
      through the operations array (update_tx) must return the same value
@@ -587,10 +674,9 @@ let test_wf_cost_counts () =
   let d = Pstats.diff st snap in
   (* the WF row of the table: one extra pwb (operation publication) on
      top of the LF count (which includes the request flush); the result
-     and opid-acknowledgment words add two to Nw.  Data flushes are
-     line-deduped: 8 root words = 2 lines, and the result/ack pair of
-     thread 0 shares one more line *)
-  let nw' = nw + 2 in
+     word adds one to Nw, as in the paper.  Data flushes are line-deduped:
+     8 root words = 2 lines, and thread 0's result cell is one more *)
+  let nw' = nw + 1 in
   let log_lines = (2 + nw' + 3) / 4 in
   let data_lines = ((nw + 3) / 4) + 1 in
   check int "pwb count" (3 + log_lines + data_lines) d.Pstats.pwb;
@@ -904,6 +990,7 @@ let () =
             test_wf_all_ops_complete_hostile_schedule;
           Alcotest.test_case "results routed" `Quick test_wf_result_values_correct;
           Alcotest.test_case "read-only fallback" `Quick test_wf_readonly_fallback;
+          Alcotest.test_case "slot reuse after kill" `Quick test_wf_slot_reuse;
         ] );
       ("crash", crash_cases);
       ( "version-chains",

@@ -287,7 +287,9 @@ let test_cost_table_matches_paper_formulas () =
   check bool "pmdk pwb ~ 2.25Nw" true (abs_float (pmdk.pwb -. 18.0) <= 1.5);
   let wf = find "OF (Wait-Free)" in
   check bool "of-wf pfence" true (wf.pfence = 0.0);
-  check bool "of-wf dcas > of-lf dcas" true (wf.cas_dcas > lf.cas_dcas)
+  (* CAS/DCAS = 3 + Nw exactly: LF's 2 + Nw plus the result word, which is
+     the only per-op write (the paper's completion rule) *)
+  check bool "of-wf cas = 3 + Nw" true (abs_float (wf.cas_dcas -. 11.0) < 0.01)
 
 (* Ground truth for the line-deduped data flushes: a transaction writing
    k words that share one cache line must issue exactly ONE data pwb for
