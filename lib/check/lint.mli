@@ -18,12 +18,11 @@
       the cooperative scheduler, set-up code...).  Plain mutable counters
       such as {!Pmem.Pstats} are only sound under the cooperative [Sched].
     - [missing-mli] — every [lib/**/*.ml] must have an [.mli].
-    - [hotpath-alloc] — [find_opt], [Telemetry.bump] and
-      [Telemetry.record] are forbidden in [lib/onefile]: per-access
-      [option] boxes and string-hashed counter bumps are exactly the
-      overhead the hot-path overhaul removed (use [Writeset.find_idx] and
-      pre-resolved {!Runtime.Telemetry} handles).  Cold paths may carry an
-      [(* alloc-ok: ... *)] marker.
+    - [hotpath-alloc] — [find_opt] is forbidden in [lib/onefile]: a
+      per-access [option] box is exactly the overhead the hot-path
+      overhaul removed (use [Writeset.find_idx]).  Telemetry needs no
+      rule: {!Runtime.Telemetry} offers only pre-resolved handles.  Cold
+      paths may carry an [(* alloc-ok: ... *)] marker.
     - [layering] — [Core0.] references are forbidden outside [lib/tm] and
       [lib/onefile]: everything else goes through the {!Tm.Tm_intf.S}
       surface (the front-ends re-export [faults]/[recover]/[sanitize]),
@@ -41,13 +40,6 @@ type finding = { file : string; line : int; rule : string; message : string }
 
 val pp_finding : Format.formatter -> finding -> unit
 val finding_to_string : finding -> string
-
-val strip : string -> string
-(** Blank out comments (nested, string-aware), string literals and char
-    literals, preserving newlines.  Legacy character scanner, no longer
-    used by the rules (it cannot strip [{|...|}] quoted strings — the
-    false-positive class that motivated the {!Srclex} rewrite); exposed
-    for the regression tests that document exactly that. *)
 
 val lint_source : path:string -> string -> finding list
 (** Token rules for one [.ml] file ([path] repo-relative).  Files outside

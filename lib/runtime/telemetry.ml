@@ -3,9 +3,10 @@
    A [t] is a sink: named monotonic counters, named latency spans (bounded
    sample histograms), and pull sources (closures folded in at snapshot
    time — e.g. a region's Pstats).  Components hold a [sink]
-   ([t option ref]); when no sink is attached every [bump]/[sample] is a
-   cheap no-op, so instrumented hot paths cost one pointer load + branch
-   when telemetry is off (measured in DESIGN.md §7). *)
+   ([t option ref]) and fire pre-resolved handles on it; when no sink is
+   attached every [tick]/[observe] is a cheap no-op, so instrumented hot
+   paths cost one pointer load + branch when telemetry is off (measured
+   in DESIGN.md §7). *)
 (* mutable-ok: counters and span tallies are plain mutable state,
    incremented only between scheduling points of the cooperative Sched (or
    from sequential code) — the same confinement argument as Pmem.Pstats.
@@ -160,8 +161,6 @@ type sink = t option ref
 let sink () = ref None
 let attach s t = s := Some t
 let detach s = s := None
-let bump ?by s name = match !s with None -> () | Some t -> incr ?by t name
-let record s name v = match !s with None -> () | Some t -> sample t name v
 
 (* ------------------------------------------------------------------ *)
 (* Pre-resolved handles                                                *)

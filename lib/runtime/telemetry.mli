@@ -3,7 +3,7 @@
     Components (the OneFile core, the reclaimers, the simulated NVM
     region) are instrumented with named monotonic counters and latency
     spans.  Each instrumented component holds a {!sink}; while no sink is
-    attached, every {!bump}/{!record} is a no-op costing one pointer load
+    attached, every {!tick}/{!observe} is a no-op costing one pointer load
     and branch, so telemetry-off runs pay nothing measurable (the measured
     delta is recorded in DESIGN.md §7).
 
@@ -75,8 +75,9 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 (** {1 Optional-sink plumbing}
 
     The pattern for instrumenting a component: hold a [sink] (initially
-    empty), call {!bump}/{!record} on it at the interesting points, and
-    let users {!attach} a registry.  Detached sinks make every call a
+    empty), pre-resolve a {!handle}/{!span_handle} per name at creation,
+    fire it with {!tick}/{!observe} at the interesting points, and let
+    users {!attach} a registry.  Detached sinks make every fire a
     no-op. *)
 
 type sink = t option ref
@@ -86,13 +87,6 @@ val sink : unit -> sink
 
 val attach : sink -> t -> unit
 val detach : sink -> unit
-
-val bump : ?by:int -> sink -> string -> unit
-(** String-keyed bump: hashes [name] on every call when a registry is
-    attached.  Fine for cold paths; hot paths should pre-resolve a
-    {!handle} with {!counter} and use {!tick}. *)
-
-val record : sink -> string -> int -> unit
 
 (** {1 Pre-resolved handles}
 

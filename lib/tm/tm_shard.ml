@@ -146,6 +146,11 @@ module Make (T : Tm_intf.S) = struct
            it (it dies with a crash along with [cur]). *)
   }
 
+  (* One published shard-map image: the map epoch and its range table as
+     [(lo, len, shard, local_base)] rows.  Never mutated after
+     publication; an epoch flip builds and stores a fresh one. *)
+  type routes = { epoch : int; entries : (int * int * int * int) array }
+
   type t = {
     shards : T.t array;
     span : int; (* virtual cells per shard: native home of g is g / span *)
@@ -183,22 +188,14 @@ module Make (T : Tm_intf.S) = struct
            epoch / unpin).  When present, cross-shard read-only
            transactions run on the snapshot path: they pin a per-shard
            epoch vector and never enter the prepare queues. *)
-    (* Volatile shard-map cache, mirrored from the persistent table on
-       shard 0 and read via a seqlock/double-collect fast path (the same
-       trick as the pub/done generations below): [map_gen] is 0 while
-       the map has never left the identity mapping — the one-read
-       historical fast path — and otherwise even iff the entry arrays
-       are stable; the epoch-flip writer makes it odd, rewrites the
-       entries, then makes it even again.  Readers (the classify
-       pre-pass included) therefore never block and never take a
-       transaction to route an address, even mid-migration. *)
-    map_gen : int Satomic.t;
-    map_epoch : int Satomic.t;
-    map_n : int Satomic.t;
-    map_lo : int Satomic.t array; (* max_ranges entries: global range lo *)
-    map_len : int Satomic.t array;
-    map_dst : int Satomic.t array; (* owning shard *)
-    map_dbase : int Satomic.t array; (* shard-local base on the owner *)
+    map : routes Satomic.t;
+        (* Volatile shard-map cache, mirrored from the persistent table on
+           shard 0 as ONE immutable image (DESIGN.md §14): a route is one
+           load plus a scan of the image, and the epoch-flip writer — the
+           unique migrator, after draining the batcher — publishes the
+           next image whole.  Readers (the classify pre-pass included)
+           therefore never block, never retry and never take a
+           transaction to route an address, even mid-migration. *)
     mig : mig option Satomic.t; (* live migration, at most one *)
     mig_claim : int Satomic.t; (* migrator election: one CAS *)
     pub_gen : int Satomic.t;
@@ -257,38 +254,28 @@ module Make (T : Tm_intf.S) = struct
   let global t s l = (s * t.span) + l
   let pin t s l = -(global t s l) - 1
 
-  (* flowlint: bounded the double-collect retries only across a concurrent epoch flip; flips are serialized by the migrator election and each is one bounded volatile update *)
-  let rec route t g =
+  (* scan a map image's rows for [g] (first match wins), falling back to
+     the native home; top-level and closure-free, so a route allocates
+     only its result pair *)
+  (* flowlint: bounded the image holds at most max_ranges rows *)
+  let rec scan_routes span entries g i =
+    if i >= Array.length entries then (g / span, g mod span)
+    else
+      let lo, len, dst, dbase = entries.(i) in
+      if g >= lo && g < lo + len then (dst, dbase + (g - lo))
+      else scan_routes span entries g (i + 1)
+
+  (* route [g] through the image [entries]: pinned addresses bypass it *)
+  let route_in t entries g =
     if g < 0 then
       let a = -g - 1 in
       (a / t.span, a mod t.span)
-    else
-      let g1 = Satomic.get t.map_gen in
-      if g1 = 0 then (g / t.span, g mod t.span) (* never migrated *)
-      else if g1 land 1 = 1 then begin
-        Sched.step_point ();
-        route t g
-      end
-      else begin
-        let n = Satomic.get t.map_n in
-        let s = ref (-1) and l = ref 0 and i = ref 0 in
-        (* flowlint: bounded the table holds at most max_ranges entries *)
-        while !s < 0 && !i < n do
-          let lo = Satomic.get t.map_lo.(!i) in
-          let len = Satomic.get t.map_len.(!i) in
-          if g >= lo && g < lo + len then begin
-            s := Satomic.get t.map_dst.(!i);
-            l := Satomic.get t.map_dbase.(!i) + (g - lo)
-          end;
-          incr i
-        done;
-        let r = if !s >= 0 then (!s, !l) else (g / t.span, g mod t.span) in
-        if Satomic.get t.map_gen <> g1 then begin
-          Sched.step_point ();
-          route t g
-        end
-        else r
-      end
+    else scan_routes t.span entries g 0
+
+  (* one load of the published image (none for a pinned address) *)
+  let route t g =
+    if g < 0 then route_in t [||] g
+    else route_in t (Satomic.get t.map).entries g
 
   let shard_of t g = fst (route t g)
   let local_of t g = snd (route t g)
@@ -308,21 +295,17 @@ module Make (T : Tm_intf.S) = struct
     if fst (route t g) = m.m_dst then pin t m.m_src (m.m_sbase + off)
     else pin t m.m_dst (m.m_dbase + off)
 
-  (* (re)load the volatile map cache from the persistent table on shard
+  (* (re)load the volatile map image from the persistent table on shard
      0 — sequential set-up / recovery code (no concurrent readers) *)
   let load_map_cache t =
     let rd0 l = T.read_tx t.shards.(0) (fun itx -> T.load itx l) in
-    let ep = rd0 t.map_base and en = rd0 (t.map_base + 1) in
-    Satomic.set t.map_epoch ep;
-    Satomic.set t.map_n en;
-    for i = 0 to en - 1 do
-      let e = t.map_base + 2 + (4 * i) in
-      Satomic.set t.map_lo.(i) (rd0 e);
-      Satomic.set t.map_len.(i) (rd0 (e + 1));
-      Satomic.set t.map_dst.(i) (rd0 (e + 2));
-      Satomic.set t.map_dbase.(i) (rd0 (e + 3))
-    done;
-    Satomic.set t.map_gen (if ep > 0 || en > 0 then 2 else 0)
+    let epoch = rd0 t.map_base and en = rd0 (t.map_base + 1) in
+    let entries =
+      Array.init en (fun i ->
+          let e = t.map_base + 2 + (4 * i) in
+          (rd0 e, rd0 (e + 1), rd0 (e + 2), rd0 (e + 3)))
+    in
+    Satomic.set t.map { epoch; entries }
 
   let make ?(max_pending = 32) ?(max_cross_writes = 64) ?(max_cross_frees = 32)
       ?(max_threads = 64) ?(batch_watermark = 7) ?(max_ranges = 8) ?ro_snapshot
@@ -389,13 +372,7 @@ module Make (T : Tm_intf.S) = struct
         next_txid = Satomic.make 0;
         next_home = Satomic.make 0;
         snap = ro_snapshot;
-        map_gen = Satomic.make 0;
-        map_epoch = Satomic.make 0;
-        map_n = Satomic.make 0;
-        map_lo = Array.init max_ranges (fun _ -> Satomic.make 0);
-        map_len = Array.init max_ranges (fun _ -> Satomic.make 0);
-        map_dst = Array.init max_ranges (fun _ -> Satomic.make 0);
-        map_dbase = Array.init max_ranges (fun _ -> Satomic.make 0);
+        map = Satomic.make { epoch = 0; entries = [||] };
         mig = Satomic.make None;
         mig_claim = Satomic.make 0;
         pub_gen = Satomic.make 0;
@@ -488,8 +465,9 @@ module Make (T : Tm_intf.S) = struct
     | Cross of { bc : bctx; ov : overlay }
     | Snap of { eps : int array; tbl : (int * int * int * int) array }
         (* cross-shard snapshot read: every load resolves through the
-           captured map image [tbl] on its shard at the pinned epoch
-           [eps.(shard)]; never queues, never locks, never aborts *)
+           rows [tbl] of the map image read before the pins, on its shard
+           at the pinned epoch [eps.(shard)]; never queues, never locks,
+           never aborts *)
 
   type tx = { rt : t; kind : kind }
 
@@ -531,29 +509,6 @@ module Make (T : Tm_intf.S) = struct
   let snap_load t s e l = (snap_ops t).Tm_intf.snap_load t.shards.(s) e l
   let snap_unpin t s = (snap_ops t).Tm_intf.snap_unpin t.shards.(s)
 
-  (* route [g] through a Snap transaction's captured map image: the
-     epoch vector and the table were collected under one double-collect,
-     so a flip concurrent with the reads cannot retarget a load to a
-     copy whose pinned epoch predates it *)
-  let route_snap t tbl g =
-    if g < 0 then
-      let a = -g - 1 in
-      (a / t.span, a mod t.span)
-    else begin
-      let n = Array.length tbl in
-      let s = ref (-1) and l = ref 0 and i = ref 0 in
-      (* flowlint: bounded the captured table holds at most max_ranges entries *)
-      while !s < 0 && !i < n do
-        let lo, len, dst, dbase = tbl.(!i) in
-        if g >= lo && g < lo + len then begin
-          s := dst;
-          l := dbase + (g - lo)
-        end;
-        incr i
-      done;
-      if !s >= 0 then (!s, !l) else (g / t.span, g mod t.span)
-    end
-
   (* a migrating range is dual-homed: the classify pre-pass reports BOTH
      ends, which routes every mutative touch of the range to the cross
      path (where stores dual-write) for as long as the move is live *)
@@ -584,7 +539,7 @@ module Make (T : Tm_intf.S) = struct
     | Snap { eps; tbl } ->
         if g = 0 then 0
         else
-          let s, l = route_snap t tbl g in
+          let s, l = route_in t tbl g in
           (* flowlint: ok unpinned-snapshot-load the pin vector is acquired (and held) by snap_cross_read, which is the only constructor of a Snap tx *)
           snap_load t s eps.(s) l
     | Cross { bc; ov } -> (
@@ -1304,40 +1259,32 @@ module Make (T : Tm_intf.S) = struct
      shards; (b) without (a) misses a batch whose applies all landed
      before the first pass on one shard but after the second on
      another — both passes then see quiescent shards that straddle the
-     batch. *)
+     batch.  (c) The map image read before the pins is still the
+     published one after them (physical equality: every flip publishes
+     a fresh image), so no flip can retarget a load to a copy whose
+     pinned epoch predates the move. *)
   let snap_cross_read t f =
     let n = Array.length t.shards in
     let eps = Array.make n 0 in
     let tbl = ref [||] in
-    (* read the map entries into an immutable image (no scheduling
-       point: the gen checks around the collect carry the atomicity) *)
-    let collect_map () =
-      let en = Satomic.get t.map_n in
-      Array.init en (fun i ->
-          ( Satomic.get t.map_lo.(i),
-            Satomic.get t.map_len.(i),
-            Satomic.get t.map_dst.(i),
-            Satomic.get t.map_dbase.(i) ))
-    in
     (* flowlint: bounded each retry follows an observed generation or epoch change, i.e. a concurrent mutative commit or epoch flip; helping drives the in-flight batch to completion *)
     let rec acquire () =
       let d1 = Satomic.get t.done_gen in
       let p1 = Satomic.get t.pub_gen in
-      let mg1 = Satomic.get t.map_gen in
-      if d1 <> p1 || mg1 land 1 = 1 then begin
-        (* a batch is mid-apply somewhere (or an epoch flip is mid-
-           rewrite): drive it, then retry *)
+      let img = Satomic.get t.map in
+      if d1 <> p1 then begin
+        (* a batch is mid-apply somewhere: drive it, then retry *)
         help t;
         Sched.step_point ();
         acquire ()
       end
       else begin
-        tbl := (if mg1 = 0 then [||] else collect_map ());
+        tbl := img.entries;
         for s = 0 to n - 1 do
           eps.(s) <- snap_pin t s
         done;
         let consistent =
-          ref (Satomic.get t.pub_gen = p1 && Satomic.get t.map_gen = mg1)
+          ref (Satomic.get t.pub_gen = p1 && Satomic.get t.map == img)
         in
         if !consistent then
           for s = 0 to n - 1 do
@@ -1394,33 +1341,9 @@ module Make (T : Tm_intf.S) = struct
   (* ---------------------------------------------------------------- *)
   (* Live range migration (DESIGN.md §14)                               *)
 
-  (* Map introspection (volatile cache; one double-collect). *)
-  let map_entries t =
-    (* flowlint: bounded retries only across a concurrent epoch flip, which is one bounded volatile rewrite *)
-    let rec go () =
-      let g1 = Satomic.get t.map_gen in
-      if g1 land 1 = 1 then begin
-        Sched.step_point ();
-        go ()
-      end
-      else begin
-        let a =
-          Array.init (Satomic.get t.map_n) (fun i ->
-              ( Satomic.get t.map_lo.(i),
-                Satomic.get t.map_len.(i),
-                Satomic.get t.map_dst.(i),
-                Satomic.get t.map_dbase.(i) ))
-        in
-        if Satomic.get t.map_gen <> g1 then begin
-          Sched.step_point ();
-          go ()
-        end
-        else a
-      end
-    in
-    go ()
-
-  let map_epoch t = Satomic.get t.map_epoch
+  (* Map introspection: one load of the published image each. *)
+  let map_entries t = (Satomic.get t.map).entries
+  let map_epoch t = (Satomic.get t.map).epoch
 
   (* The user-root block of shard [s]: the contiguous root slot cells
      [T.root s 0 .. T.root s (usable_roots - 1)] (shard-local).  The
@@ -1525,41 +1448,22 @@ module Make (T : Tm_intf.S) = struct
     T.store itx mbq m.m_epoch;
     T.store itx t.mig_base 2
 
-  (* mirror the volatile cache from [m]; seqlock write protocol *)
+  (* publish the next map image: [m]'s row dropped (a back move) or
+     added/overwritten (a fresh move), under [m]'s epoch.  Only the
+     claimed migrator flips, after draining the batcher, so this
+     read-build-store is the image's sole writer. *)
   let flip_volatile t (m : mig) =
-    let g0 = Satomic.get t.map_gen in
-    Satomic.set t.map_gen (if g0 = 0 then 1 else g0 + 1);
-    (if m.m_back then begin
-       let n = Satomic.get t.map_n in
-       let j = ref 0 in
-       for i = 0 to n - 1 do
-         if Satomic.get t.map_lo.(i) <> m.g_lo then begin
-           if !j <> i then begin
-             Satomic.set t.map_lo.(!j) (Satomic.get t.map_lo.(i));
-             Satomic.set t.map_len.(!j) (Satomic.get t.map_len.(i));
-             Satomic.set t.map_dst.(!j) (Satomic.get t.map_dst.(i));
-             Satomic.set t.map_dbase.(!j) (Satomic.get t.map_dbase.(i))
-           end;
-           incr j
-         end
-       done;
-       Satomic.set t.map_n !j
-     end
-     else begin
-       let n = Satomic.get t.map_n in
-       let slot = ref (-1) in
-       for i = 0 to n - 1 do
-         if Satomic.get t.map_lo.(i) = m.g_lo then slot := i
-       done;
-       let i = if !slot >= 0 then !slot else n in
-       Satomic.set t.map_lo.(i) m.g_lo;
-       Satomic.set t.map_len.(i) m.g_len;
-       Satomic.set t.map_dst.(i) m.m_dst;
-       Satomic.set t.map_dbase.(i) m.m_dbase;
-       if !slot < 0 then Satomic.set t.map_n (n + 1)
-     end);
-    Satomic.set t.map_epoch m.m_epoch;
-    Satomic.set t.map_gen (Satomic.get t.map_gen + 1)
+    let cur = (Satomic.get t.map).entries in
+    let row = (m.g_lo, m.g_len, m.m_dst, m.m_dbase) in
+    let ours (lo, _, _, _) = lo = m.g_lo in
+    let entries =
+      if m.m_back then
+        Array.of_list (List.filter (fun e -> not (ours e)) (Array.to_list cur))
+      else if Array.exists ours cur then
+        Array.map (fun e -> if ours e then row else e) cur
+      else Array.append cur [| row |]
+    in
+    Satomic.set t.map { epoch = m.m_epoch; entries }
 
   (* The epoch flip: drain the batcher, retarget the volatile route,
      then settle the persistent map + migration record in ONE durable
@@ -1590,8 +1494,8 @@ module Make (T : Tm_intf.S) = struct
     else if not (Satomic.compare_and_set t.mig_claim 0 1) then `Busy
     else begin
       (* under the claim the map only changes under our own flip, so the
-         validation below reads a stable table *)
-      let entries = map_entries t in
+         validation below and the next epoch read one stable image *)
+      let { epoch; entries } = Satomic.get t.map in
       let exact = ref None and overlap = ref false in
       Array.iter
         (fun ((elo, elen, _, _) as e) ->
@@ -1619,7 +1523,7 @@ module Make (T : Tm_intf.S) = struct
                 m_sbase = sbase;
                 m_dbase = lo mod t.span;
                 m_back = true;
-                m_epoch = Satomic.get t.map_epoch + 1;
+                m_epoch = epoch + 1;
                 stalled = Satomic.make 0;
               }
             in
@@ -1646,7 +1550,7 @@ module Make (T : Tm_intf.S) = struct
               release (invalid "migrate_range: range overlaps the control block")
             else if slot >= l0 && slot < l0 + len then
               release (invalid "migrate_range: range covers the reserved root slot")
-            else if Satomic.get t.map_n >= t.max_ranges then
+            else if Array.length entries >= t.max_ranges then
               release (invalid "migrate_range: range table full")
             else begin
               (* write-ahead host allocation: the block and its hold
@@ -1668,7 +1572,7 @@ module Make (T : Tm_intf.S) = struct
                   m_sbase = l0;
                   m_dbase = dbase;
                   m_back = false;
-                  m_epoch = Satomic.get t.map_epoch + 1;
+                  m_epoch = epoch + 1;
                   stalled = Satomic.make 0;
                 }
               in

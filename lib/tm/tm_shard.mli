@@ -85,7 +85,9 @@ module Make (T : Tm_intf.S) : sig
       range table (the shard map, stored in the shard-0 control block)
       that overrides the native home for ranges rehomed by
       {!migrate_range}/{!split}, and [shard_of] consults it through a
-      seqlock/double-collect volatile cache — non-blocking,
+      volatile cache — one immutable image behind one atomic word,
+      republished whole by every epoch flip — so a lookup is one load
+      plus a scan of at most [max_ranges] rows: wait-free,
       transaction-free, and exact even mid-migration.  Callers must not
       reconstruct routes from [span] arithmetic; use this lookup (or
       {!map_entries} for the whole table).  Global names never change
@@ -110,8 +112,8 @@ module Make (T : Tm_intf.S) : sig
       OneFile's own: elect a migrator (one CAS — [`Busy] if a move is
       already live), durably publish a migration record on shard 0, copy
       the range in bounded chunks through ordinary cross-shard
-      transactions, then flip the map epoch (drain the batcher, retarget
-      the volatile cache, settle entry + epoch + record in ONE durable
+      transactions, then flip the map epoch (drain the batcher, publish
+      the next volatile map image, settle entry + epoch + record in ONE durable
       transaction) and retire the old copy.  A crash after the record
       rolls {e forward} in {!recover}; before it, write-ahead holds roll
       the allocation {e back}.  Valid moves: a natively-homed range (no

@@ -169,6 +169,19 @@ let kind_char : Region.event -> char = function
   | Region.Ev_pfence -> 'p'
   | Region.Ev_crash -> 'x'
 
+(* plant [fault] in one OneFile instance ([Lf.t = Wf.t], so this serves
+   the unsharded instance and both kinds of shard); the torn-record and
+   torn-migration faults live in the cross-shard router, so there is
+   nothing to plant for them here *)
+let plant_core_fault fault tm =
+  let f = Lf.faults tm in
+  match fault with
+  | No_fault | Torn_commit_record | Torn_batch_record | Torn_migration -> ()
+  | Durability_hole -> f.drop_publish_pwb <- true
+  | Lost_update -> f.stale_commit_snapshot <- true
+  | Stale_dedup -> f.stale_dedup_flush <- true
+  | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
+
 let execute_one cfg ~memo prog ~pick ~crash =
   let mode =
     if cfg.persistent || crash <> None then Region.Persistent else Region.Volatile
@@ -198,16 +211,7 @@ let execute_one cfg ~memo prog ~pick ~crash =
         Lf.create ~mode ~size:(1 lsl 12) ~max_threads:(max 1 cfg.threads)
           ~ws_cap:128 ()
       in
-      (match cfg.fault with
-      | No_fault | Torn_commit_record | Torn_batch_record | Torn_migration ->
-          (* the torn-record and torn-migration faults live in the
-             cross-shard router: nothing to plant on an unsharded
-             instance *)
-          ()
-      | Durability_hole -> (Lf.faults tm).drop_publish_pwb <- true
-      | Lost_update -> (Lf.faults tm).stale_commit_snapshot <- true
-      | Stale_dedup -> (Lf.faults tm).stale_dedup_flush <- true
-      | Stale_ro_snapshot -> (Lf.faults tm).stale_ro_snapshot <- true);
+      plant_core_fault cfg.fault tm;
       (match cfg.telemetry with
       | Some te -> Lf.attach_telemetry tm te
       | None -> ());
@@ -256,18 +260,7 @@ let execute_one cfg ~memo prog ~pick ~crash =
                    ~ws_cap:128 ~num_roots:nroots ())
                views)
         in
-        Array.iter
-          (fun sh ->
-            let f = Wf.faults sh in
-            match cfg.fault with
-            | No_fault | Torn_commit_record | Torn_batch_record
-            | Torn_migration ->
-                ()
-            | Durability_hole -> f.drop_publish_pwb <- true
-            | Lost_update -> f.stale_commit_snapshot <- true
-            | Stale_dedup -> f.stale_dedup_flush <- true
-            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true)
-          shards;
+        Array.iter (plant_core_fault cfg.fault) shards;
         (match cfg.telemetry with
         | Some te -> Array.iter (fun sh -> Wf.attach_telemetry sh te) shards
         | None -> ());
@@ -299,18 +292,7 @@ let execute_one cfg ~memo prog ~pick ~crash =
                    ~ws_cap:128 ~num_roots:nroots ())
                views)
         in
-        Array.iter
-          (fun sh ->
-            let f = Lf.faults sh in
-            match cfg.fault with
-            | No_fault | Torn_commit_record | Torn_batch_record
-            | Torn_migration ->
-                ()
-            | Durability_hole -> f.drop_publish_pwb <- true
-            | Lost_update -> f.stale_commit_snapshot <- true
-            | Stale_dedup -> f.stale_dedup_flush <- true
-            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true)
-          shards;
+        Array.iter (plant_core_fault cfg.fault) shards;
         (match cfg.telemetry with
         | Some te -> Array.iter (fun sh -> Lf.attach_telemetry sh te) shards
         | None -> ());

@@ -656,6 +656,25 @@ let test_migrate_split_merge () =
     (Sh_wf.read_tx tm (fun tx -> Sh_wf.load tx (Sh_wf.root tm 6)));
   check int "conservation after the round trip" (8 * 100) (total tm)
 
+(* Routing is one load of the published map image whatever the map
+   holds: from inside a fiber, one [shard_of] costs exactly one scheduler
+   step on a fresh router, after a split (inside and outside the moved
+   range) and after the merge back. *)
+let test_route_step_cost () =
+  let _dev, tm = mk_sharded ~n:2 () in
+  init_accounts tm 100;
+  let run f = Sched.total_steps (Sched.run [| f |]) in
+  (* net of the fiber's own start-up step(s) *)
+  let steps g = run (fun () -> ignore (Sh_wf.shard_of tm g)) - run ignore in
+  let inside = Sh_wf.root tm 6 and outside = Sh_wf.root tm 0 in
+  check int "fresh router" 1 (steps inside);
+  check ok "split" `Ok (Sh_wf.split tm ~src:0 ~dst:1);
+  check int "inside is the moved range" 1 (Sh_wf.shard_of tm inside);
+  check int "split: inside the moved range" 1 (steps inside);
+  check int "split: outside it" 1 (steps outside);
+  check ok "merge" `Ok (Sh_wf.merge tm ~src:1 ~dst:0);
+  check int "merged back" 1 (steps inside)
+
 let test_migrate_under_traffic () =
   let _dev, tm = mk_sharded ~n:2 () in
   init_accounts tm 100;
@@ -897,6 +916,7 @@ let () =
         [
           Alcotest.test_case "split-merge-roundtrip" `Quick
             test_migrate_split_merge;
+          Alcotest.test_case "routing-step-cost" `Quick test_route_step_cost;
           Alcotest.test_case "migrate-under-traffic" `Quick
             test_migrate_under_traffic;
           Alcotest.test_case "validation" `Quick test_migrate_validation;

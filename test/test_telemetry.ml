@@ -69,20 +69,24 @@ let test_clear_sources () =
 
 let test_sink_no_op () =
   let s = Telemetry.sink () in
+  let c = Telemetry.counter s "x" and sp = Telemetry.span s "sp" in
   (* all no-ops while detached *)
-  Telemetry.bump s "x";
-  Telemetry.record s "sp" 3;
+  Telemetry.tick c;
+  Telemetry.observe sp 3;
   let t = Telemetry.create () in
   Telemetry.attach s t;
-  Telemetry.bump s "x";
-  Telemetry.bump s "x" ~by:2;
-  Telemetry.record s "sp" 5;
-  check_int "bumps after attach counted" 3 (Telemetry.get t "x");
-  check_int "records after attach counted" 1
+  Telemetry.tick c;
+  Telemetry.tick c ~by:2;
+  Telemetry.observe sp 5;
+  check_int "ticks after attach counted" 3 (Telemetry.get t "x");
+  check_int "observes after attach counted" 1
     (Telemetry.span_summary t "sp").Telemetry.count;
   Telemetry.detach s;
-  Telemetry.bump s "x";
-  check_int "bumps after detach dropped" 3 (Telemetry.get t "x")
+  Telemetry.tick c;
+  Telemetry.observe sp 7;
+  check_int "ticks after detach dropped" 3 (Telemetry.get t "x");
+  check_int "observes after detach dropped" 1
+    (Telemetry.span_summary t "sp").Telemetry.count
 
 (* --- spans -------------------------------------------------------- *)
 
