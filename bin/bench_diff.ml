@@ -1,21 +1,24 @@
 (* Compare two BENCH_*.json files produced by bench/main.exe --json.
 
-     bench_diff baseline.json current.json [--tolerance 0.1]
+     bench_diff baseline.json current.json [--tolerance 0.1] [--all]
 
    Exit status: 0 = no regression, 1 = regression(s) found, 2 = usage or
    parse error.  A regression is a series value that is worse than the
    baseline by more than the tolerance in the table's declared direction
    (higher-better throughput dropping, lower-better latency/abort counts
-   rising), or a table/row that disappeared. *)
+   rising), or a table/row that disappeared.  [--all] first prints every
+   cell whose value changed, with its signed delta, whatever its size or
+   direction: the per-cell record a re-baselined gate file is committed
+   with. *)
 
 module J = Workloads.Bench_json
 
 let usage () =
-  prerr_endline "usage: bench_diff BASELINE.json CURRENT.json [--tolerance T]";
+  prerr_endline "usage: bench_diff BASELINE.json CURRENT.json [--tolerance T] [--all]";
   exit 2
 
 let () =
-  let tolerance = ref 0.10 in
+  let tolerance = ref 0.10 and all = ref false in
   let files = ref [] in
   let rec parse_args = function
     | [] -> ()
@@ -25,6 +28,9 @@ let () =
         | _ ->
             prerr_endline ("bench_diff: bad tolerance " ^ v);
             exit 2);
+        parse_args rest
+    | "--all" :: rest ->
+        all := true;
         parse_args rest
     | ("--help" | "-h") :: _ -> usage ()
     | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
@@ -52,6 +58,12 @@ let () =
       if baseline.J.figure <> current.J.figure then
         Printf.printf "note: comparing different figures (%s vs %s)\n"
           baseline.J.figure current.J.figure;
+      if !all then begin
+        let cs = J.changes ~baseline ~current in
+        Printf.printf "%s vs %s: %d changed cell(s)\n" base_path cur_path
+          (List.length cs);
+        List.iter (fun c -> Format.printf "  %a@." J.pp_change c) cs
+      end;
       match J.diff ~tolerance:!tolerance ~baseline ~current () with
       | [] ->
           Printf.printf "%s vs %s: no regressions (tolerance %.0f%%)\n"

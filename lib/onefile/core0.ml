@@ -42,7 +42,9 @@
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
    sequential set-up code only; the per-thread flush-dedup scratch and the
-   [wf_busy] takeover mirror are confined to their thread slot. *)
+   [wf_busy] takeover mirror are confined to their thread slot; so are a
+   tx's load memo ([memo_addrs]/[memo_words]/[memo_gens]) and its [olds]
+   array, written only by the fiber running that tx slot. *)
 
 module Region = Pmem.Region
 module Word = Pmem.Word
@@ -89,6 +91,16 @@ type tx = {
   mutable read_only : bool;
   mutable snap_epoch : int; (* pinned snapshot epoch; -1 = not a snap read *)
   ws : Writeset.t;
+  (* Load memo: a 64-slot direct-mapped record of the words this attempt
+     loaded, stamped with [memo_gen] so starting an attempt is one bump.
+     [olds.(i)] is the word write-set entry [i] overwrites, copied from
+     the memo when [store] appends the entry ([Word.nil] on a miss);
+     [apply_own] DCASes against it instead of reloading the cell. *)
+  memo_addrs : int array;
+  memo_words : Word.t array;
+  memo_gens : int array;
+  mutable memo_gen : int;
+  olds : Word.t array;
   txchk : Tmcheck.t option ref; (* shared with the owning instance *)
   txfloor : int Satomic.t; (* the instance's pin_floor, for read-side cuts *)
   ops : Tm.Tm_intf.alloc_ops; (* interposition record, built once per slot *)
@@ -212,9 +224,15 @@ let snap_resolve ~region ~chk ~floor epoch addr =
 (* Interposition — defined before [create] so each tx slot can cache its
    ops record instead of rebuilding two closures per allocator call.     *)
 
+let memo_mask = 63 (* load memo has 64 direct-mapped slots *)
+
 let load_word tx addr =
   let w = Region.load tx.txregion addr in
   if w.Word.s > tx.start_seq then raise Abort;
+  let k = addr land memo_mask in
+  tx.memo_addrs.(k) <- addr;
+  tx.memo_words.(k) <- w;
+  tx.memo_gens.(k) <- tx.memo_gen;
   (match !(tx.txchk) with
   | None -> ()
   | Some c -> Tmcheck.tx_load c ~addr ~v:w.Word.v ~s:w.Word.s);
@@ -232,10 +250,26 @@ let load tx addr =
     let i = Writeset.find_idx tx.ws addr in
     if i >= 0 then Writeset.val_at tx.ws i else load_shared tx addr
 
+(* The word this attempt loaded from [addr], or [Word.nil] if the memo
+   does not hold it (never loaded, or evicted by a colliding address). *)
+let memo_find tx addr =
+  let k = addr land memo_mask in
+  if tx.memo_gens.(k) = tx.memo_gen && tx.memo_addrs.(k) = addr then
+    tx.memo_words.(k)
+  else Word.nil
+
 let store tx addr v =
   if tx.read_only then raise Tm.Tm_intf.Store_in_read_tx;
   (match !(tx.txchk) with None -> () | Some c -> Tmcheck.tx_store c ~addr);
-  Writeset.put tx.ws addr v
+  let n = Writeset.size tx.ws in
+  Writeset.put tx.ws addr v;
+  if Writeset.size tx.ws > n then tx.olds.(n) <- memo_find tx addr
+
+(* Start a fresh attempt: empty write-set, and no memo entry of an
+   earlier attempt can match. *)
+let begin_attempt tx =
+  Writeset.clear tx.ws;
+  tx.memo_gen <- tx.memo_gen + 1
 
 let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
     ?(ws_cap = 2048) ?(num_roots = 8) ?linear_threshold () =
@@ -295,6 +329,11 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
         read_only = true;
         snap_epoch = -1;
         ws = Writeset.create ?linear_threshold ws_cap;
+        memo_addrs = Array.make (memo_mask + 1) (-1);
+        memo_words = Array.make (memo_mask + 1) Word.nil;
+        memo_gens = Array.make (memo_mask + 1) 0;
+        memo_gen = 1;
+        olds = Array.make ws_cap Word.nil;
         txchk = checker;
         txfloor = epochs.pin_floor;
         ops =
@@ -492,18 +531,23 @@ let apply_floor inst ~seq =
    helpers build their own candidate over the same [w]; one DCAS wins and
    the losers re-load a word with [s = seq] and stop, so the chain never
    holds a duplicate.  The winner then cuts [w]'s chain behind the node
-   covering [floor]: no reader (epoch >= floor) walks past that node. *)
+   covering [floor]: no reader (epoch >= floor) walks past that node.
+
+   [install] is the DCAS of [v] over an expected word [w]; [put_at] loads
+   [w] first.  Metadata cells below [roots_base] carry no chain. *)
+let install inst ~floor ~seq addr v (w : Word.t) =
+  if addr >= inst.roots_base then begin
+    let ok = Region.cas inst.region addr w (Word.make_over v seq w) in
+    if ok then Word.cut (chain_find w floor);
+    ok
+  end
+  else Region.cas inst.region addr w (Word.make v seq)
+
 let put_at inst ~floor ~seq addr v =
   (* flowlint: bounded a CAS miss means a helper already installed this entry with sequence >= seq, so the seq guard fails on the next round *)
   let rec go () =
     let w = Region.load inst.region addr in
-    if w.Word.s < seq then
-      if addr >= inst.roots_base then begin
-        if Region.cas inst.region addr w (Word.make_over v seq w) then
-          Word.cut (chain_find w floor)
-        else go ()
-      end
-      else if not (Region.cas inst.region addr w (Word.make v seq)) then go ()
+    if w.Word.s < seq && not (install inst ~floor ~seq addr v w) then go ()
   in
   go ()
 
@@ -546,13 +590,26 @@ let pwb_dedup inst ~me ~gen addr =
     Region.pwb inst.region addr
   end
 
-(* Apply our own committed write-set: puts, then one pwb per covered
-   cache line. *)
-let apply_own inst ~me ~seq (ws : Writeset.t) =
+(* Apply our own committed write-set: one DCAS per entry, then one pwb
+   per covered cache line.
+
+   Entry [i] is installed directly over [olds.(i)], the word this
+   transaction loaded from the cell, with no reload.  That word is still
+   the cell's content: it passed [s <= start_seq], every commit up to
+   [start_seq] was applied and closed before the attempt began, and our
+   commit CAS proves nothing committed in between ([seq = start_seq + 1]).
+   The only other writer is a helper installing this same entry; then the
+   DCAS fails and [put_at] reloads a word with [s = seq] and stops.  A
+   memo miss ([Word.nil]) also falls back to [put_at]. *)
+let apply_own inst ~me ~seq (tx : tx) =
+  let ws = tx.ws in
   let n = Writeset.size ws in
   let floor = apply_floor inst ~seq in
   for i = 0 to n - 1 do
-    put_at inst ~floor ~seq (Writeset.addr_at ws i) (Writeset.val_at ws i)
+    let addr = Writeset.addr_at ws i and v = Writeset.val_at ws i in
+    let w = tx.olds.(i) in
+    if w == Word.nil || not (install inst ~floor ~seq addr v w) then
+      put_at inst ~floor ~seq addr v
   done;
   let gen = flush_gen inst ~me in
   let last = ref (-1) in
@@ -830,7 +887,7 @@ let lf_update_tx inst f =
       (* a fiber abandoned mid-snapshot-read leaves its pin behind;
          this slot is ours now, so drop the stale epoch *)
       tx.snap_epoch <- -1;
-      Writeset.clear tx.ws;
+      begin_attempt tx;
       with_chk inst.checker (fun c ->
           Tmcheck.tx_begin c ~read_only:false ~start_seq:tx.start_seq);
       match f tx with
@@ -854,7 +911,7 @@ let lf_update_tx inst f =
             if Region.cas1 inst.region curtx_cell ct (Word.make seq me) then begin
               with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:(Some seq));
               Region.pwb inst.region curtx_cell;
-              apply_own inst ~me ~seq tx.ws;
+              apply_own inst ~me ~seq tx;
               close_request inst ~tid:me ~seq;
               stable_bump inst.epochs seq;
               if seq mod floor_period = 0 then refresh_floor inst;
@@ -992,7 +1049,7 @@ let wf_update_tx inst f =
         tx.start_seq <- ct.Word.v;
         tx.read_only <- false;
         tx.snap_epoch <- -1;
-        Writeset.clear tx.ws;
+        begin_attempt tx;
         with_chk inst.checker (fun c ->
             Tmcheck.tx_begin c ~read_only:false ~start_seq:tx.start_seq);
         Hazard_eras.set_era inst.he ct.Word.v;
@@ -1017,7 +1074,7 @@ let wf_update_tx inst f =
                 with_chk inst.checker (fun c ->
                     Tmcheck.tx_end c ~committed:(Some seq));
                 Region.pwb region_ curtx_cell;
-                apply_own inst ~me ~seq tx.ws;
+                apply_own inst ~me ~seq tx;
                 close_request inst ~tid:me ~seq;
                 stable_bump inst.epochs seq;
                 if seq mod floor_period = 0 then refresh_floor inst;
@@ -1062,7 +1119,7 @@ let allocated_cells inst =
 (* Null recovery (§III-D)                                              *)
 
 let recover inst =
-  Array.iter (fun tx -> Writeset.clear tx.ws) inst.txs;
+  Array.iter begin_attempt inst.txs;
   Array.iter (fun p -> Satomic.set p None) inst.pending;
   Array.fill inst.wf_busy 0 inst.max_threads false;
   (* closures are not executable after a restart: orphaned published

@@ -427,62 +427,79 @@ let worse ~better ~tolerance ~base ~cur =
         Some (100.0 *. (cur -. base) /. Float.max (Float.abs base) 1.0)
       else None
 
-let diff ?(tolerance = 0.10) ~baseline ~current () =
-  let regs = ref [] in
-  let flag where_ base cur delta =
-    regs := { where_; baseline = base; current = cur; delta_pct = delta } :: !regs
-  in
-  let structural where_ =
-    flag (where_ ^ ": missing or mismatched in current run") 0.0 0.0 0.0
-  in
+(* Walk the cells [baseline] and [current] share, in baseline order:
+   [cell where better base cur] for every table value and telemetry key
+   present in both, [missing where] for a baseline table or row that
+   [current] lacks or reshaped.  Telemetry keys are [Info] except the
+   guarded ones, which are lower-is-better. *)
+let walk ~baseline ~current ~cell ~missing =
   List.iter
     (fun (bt : table) ->
       match List.find_opt (fun ct -> ct.title = bt.title) current.tables with
-      | None -> structural ("table \"" ^ bt.title ^ "\"")
+      | None -> missing ("table \"" ^ bt.title ^ "\"")
       | Some ct ->
           if ct.columns <> bt.columns then
-            structural ("columns of \"" ^ bt.title ^ "\"")
+            missing ("columns of \"" ^ bt.title ^ "\"")
           else
             List.iter
               (fun (br : row) ->
                 match
                   List.find_opt (fun (cr : row) -> cr.label = br.label) ct.rows
                 with
-                | None -> structural (bt.title ^ " / row " ^ br.label)
-                | Some cr ->
-                    if List.length cr.values <> List.length br.values then
-                      structural (bt.title ^ " / row " ^ br.label)
-                    else
-                      List.iteri
-                        (fun i base ->
-                          let cur = List.nth cr.values i in
-                          let col =
-                            match List.nth_opt bt.columns i with
-                            | Some c -> c
-                            | None -> string_of_int i
-                          in
-                          match
-                            worse ~better:bt.better ~tolerance ~base ~cur
-                          with
-                          | Some delta ->
-                              flag
-                                (Printf.sprintf "%s / %s / %s" bt.title
-                                   br.label col)
-                                base cur delta
-                          | None -> ())
-                        br.values)
+                | Some cr when List.length cr.values = List.length br.values ->
+                    List.iteri
+                      (fun i base ->
+                        let col =
+                          match List.nth_opt bt.columns i with
+                          | Some c -> c
+                          | None -> string_of_int i
+                        in
+                        cell
+                          (Printf.sprintf "%s / %s / %s" bt.title br.label col)
+                          bt.better base (List.nth cr.values i))
+                      br.values
+                | _ -> missing (bt.title ^ " / row " ^ br.label))
               bt.rows)
     baseline.tables;
   List.iter
-    (fun key ->
-      match
-        ( List.assoc_opt key baseline.telemetry,
-          List.assoc_opt key current.telemetry )
-      with
-      | Some base, Some cur -> (
-          match worse ~better:Lower_better ~tolerance ~base ~cur with
-          | Some delta -> flag ("telemetry / " ^ key) base cur delta
-          | None -> ())
-      | _ -> ())
-    guarded_telemetry;
+    (fun (key, base) ->
+      match List.assoc_opt key current.telemetry with
+      | Some cur ->
+          let better =
+            if List.mem key guarded_telemetry then Lower_better else Info
+          in
+          cell ("telemetry / " ^ key) better base cur
+      | None -> ())
+    baseline.telemetry
+
+let diff ?(tolerance = 0.10) ~baseline ~current () =
+  let regs = ref [] in
+  let flag where_ base cur delta =
+    regs := { where_; baseline = base; current = cur; delta_pct = delta } :: !regs
+  in
+  walk ~baseline ~current
+    ~cell:(fun where_ better base cur ->
+      match worse ~better ~tolerance ~base ~cur with
+      | Some delta -> flag where_ base cur delta
+      | None -> ())
+    ~missing:(fun where_ ->
+      flag (where_ ^ ": missing or mismatched in current run") 0.0 0.0 0.0);
   List.rev !regs
+
+type change = { cell : string; before : float; after : float }
+
+let changes ~baseline ~current =
+  let acc = ref [] in
+  walk ~baseline ~current
+    ~cell:(fun cell _ before after ->
+      if before <> after then acc := { cell; before; after } :: !acc)
+    ~missing:(fun _ -> ());
+  List.rev !acc
+
+let pp_change ppf c =
+  let d = c.after -. c.before in
+  if c.before = 0.0 then
+    Format.fprintf ppf "%-60s %g -> %g (%+g)" c.cell c.before c.after d
+  else
+    Format.fprintf ppf "%-60s %g -> %g (%+g, %+.1f%%)" c.cell c.before c.after d
+      (100.0 *. d /. Float.abs c.before)

@@ -99,3 +99,18 @@ val diff : ?tolerance:float -> baseline:run -> current:run -> unit -> regression
     in [baseline] but missing (or shape-changed) in [current] is reported
     as a structural regression.  Gated telemetry keys are compared
     lower-is-better.  Empty result = no regression. *)
+
+type change = { cell : string; before : float; after : float }
+(** One cell that differs between two runs: a table value
+    (["table / row / column"]) or a telemetry key (["telemetry / key"]). *)
+
+val changes : baseline:run -> current:run -> change list
+(** Every cell present in both runs whose value differs, in baseline
+    order, whatever its direction or size — the full delta of a
+    re-baselined gate file, where {!diff} reports only regressions past
+    the tolerance.  Rows and tables present in only one run are skipped
+    ({!diff} reports the missing ones). *)
+
+val pp_change : Format.formatter -> change -> unit
+(** [cell  before -> after (signed delta, signed percent)]; the percent
+    is omitted when [before] is 0. *)

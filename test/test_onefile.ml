@@ -209,15 +209,36 @@ let test_snapshot_consistency api () =
        [| (fun () -> writer 0); (fun () -> writer 1); (fun () -> reader 0); (fun () -> reader 1) |]);
   check int "no torn snapshots" 0 !tearing
 
+(* Round-robin controlled schedule that starves whichever fiber's commit
+   is open: from its commit CAS until someone closes its request, the
+   owner runs only when nothing else can.  [Lf.curtx_info] costs no step,
+   so consulting it does not perturb the schedule. *)
+let starve_open_committer t ~step:_ ~enabled ~last =
+  let _, owner, open_ = Lf.curtx_info t in
+  let ok i = not (open_ && i = owner) in
+  let n = Array.length enabled in
+  let rec after k =
+    if k >= n then None
+    else
+      let i = enabled.(k) in
+      if i > last && ok i then Some i else after (k + 1)
+  in
+  match after 0 with
+  | Some i -> i
+  | None -> (
+      match List.find_opt ok (Array.to_list enabled) with
+      | Some i -> i
+      | None -> enabled.(0))
+
 let test_helping_occurs api () =
-  (* Over-subscribed random schedule with large write-sets: the committer
-     gets descheduled mid-apply, so helpers must finish some write-sets. *)
+  (* Every committer is starved while its request is open, so the other
+     fibers find the open request and must apply its write-set. *)
   let t = api.mk ~mode:Region.Volatile () in
   let st = Region.stats (Lf.region t) in
   ignore
-    (Sched.run ~seed:5 ~cores:2 ~policy:Sched.Random_order
-       (Array.init 8 (fun _ () ->
-            for _ = 1 to 10 do
+    (Sched.run_controlled ~pick:(starve_open_committer t)
+       (Array.init 4 (fun _ () ->
+            for _ = 1 to 5 do
               ignore
                 (api.update t (fun tx ->
                      for i = 0 to 7 do
@@ -225,7 +246,11 @@ let test_helping_occurs api () =
                      done;
                      0))
             done)));
-  check bool (api.label ^ ": helping happened") true (st.Pstats.helps > 0)
+  check bool (api.label ^ ": helping happened") true (st.Pstats.helps > 0);
+  for i = 0 to 7 do
+    check int "every increment applied once" 20
+      (api.read t (fun tx -> Lf.load tx (Lf.root t i)))
+  done
 
 let test_dead_committer_completed api () =
   (* The decisive lock-freedom property: a thread that dies right after its
@@ -685,6 +710,175 @@ let test_wf_cost_counts () =
   check int "one commit" 1 d.Pstats.commits
 
 (* ------------------------------------------------------------------ *)
+(* The committer's apply: one DCAS per entry over the word it loaded    *)
+
+(* One LF update, alone in a simulation: its Pstats delta and its
+   scheduler steps. *)
+let measure_update t f =
+  let st = Region.stats (Lf.region t) in
+  let snap = Pstats.copy st in
+  let sched = Sched.run [| (fun () -> ignore (Lf.update_tx t f)) |] in
+  (Pstats.diff st snap, Sched.total_steps sched)
+
+(* k root cells on k distinct cache lines (4 cells per line). *)
+let spread_roots t k = Array.init k (fun i -> Lf.root t (4 * i))
+
+(* Outside the apply, a commit issues 3 region loads: curTx, the request
+   cell it checks for open, and the request cell [close_request] reads. *)
+let commit_loads = 3
+
+let test_apply_cost_loaded () =
+  let k = 4 in
+  let t = Lf.create ~mode:Region.Volatile ~num_roots:16 () in
+  let cells = spread_roots t k in
+  ignore (Lf.update_tx t (fun tx -> Array.iter (fun a -> Lf.store tx a 1) cells; 0));
+  let d, steps_loaded =
+    measure_update t (fun tx ->
+        Array.iter (fun a -> Lf.store tx a (Lf.load tx a + 1)) cells;
+        0)
+  in
+  check int "k DCAS" k d.Pstats.dcas;
+  check int "no failed DCAS" 0 d.Pstats.dcas_fail;
+  check int "k closure loads, zero apply-phase loads" (commit_loads + k) d.Pstats.loads;
+  (* the same commit over never-loaded cells: each entry reloads its cell
+     before the DCAS, so it pays the k loads in the apply instead *)
+  let d, steps_blind =
+    measure_update t (fun tx -> Array.iter (fun a -> Lf.store tx a 9) cells; 0)
+  in
+  check int "never-loaded: k DCAS" k d.Pstats.dcas;
+  check int "never-loaded: k apply-phase loads" (commit_loads + k) d.Pstats.loads;
+  check int "the loads moved out of the apply, step for step" steps_blind
+    steps_loaded;
+  Array.iter
+    (fun a -> check int "stored value" 9 (Lf.read_tx t (fun tx -> Lf.load tx a)))
+    cells
+
+(* The memo is direct-mapped on [addr land 63]: loading [a + 64] evicts
+   [a], so storing [a] falls back to a reload while [a + 64] still uses
+   its memo word. *)
+let test_apply_memo_collision () =
+  let t = Lf.create ~mode:Region.Volatile () in
+  let blk = Lf.update_tx t (fun tx -> Lf.alloc tx 80) in
+  let a = blk and b = blk + 64 in
+  ignore (Lf.update_tx t (fun tx -> Lf.store tx a 10; Lf.store tx b 20; 0));
+  let r = Lf.region t in
+  let before_a = Region.peek r a and before_b = Region.peek r b in
+  let d, _ =
+    measure_update t (fun tx ->
+        let va = Lf.load tx a in
+        let vb = Lf.load tx b in
+        Lf.store tx a (va + 1);
+        Lf.store tx b (vb + 1);
+        0)
+  in
+  check int "two DCAS" 2 d.Pstats.dcas;
+  check int "no failed DCAS" 0 d.Pstats.dcas_fail;
+  check int "one apply-phase reload, for the evicted address"
+    (commit_loads + 2 + 1) d.Pstats.loads;
+  check int "a" 11 (Lf.read_tx t (fun tx -> Lf.load tx a));
+  check int "a + 64" 21 (Lf.read_tx t (fun tx -> Lf.load tx b));
+  check bool "a's predecessor is its pre-commit word" true
+    ((Region.peek r a).Word.p == before_a);
+  check bool "a + 64's predecessor is its pre-commit word" true
+    ((Region.peek r b).Word.p == before_b)
+
+(* A word loaded by an aborted attempt must not become the retry's
+   expected word: here it is stale (another fiber overwrote the cell in
+   between), so using it would show up as a failed DCAS. *)
+let test_apply_memo_not_reused_after_abort () =
+  let t = Lf.create ~mode:Region.Volatile ~max_threads:4 () in
+  let r0 = Lf.root t 0 in
+  ignore (Lf.update_tx t (fun tx -> Lf.store tx r0 1; 0));
+  let st = Region.stats (Lf.region t) in
+  let snap = Pstats.copy st in
+  let attempts = ref 0 and loaded = ref false and other_done = ref false in
+  let victim () =
+    ignore
+      (Lf.update_tx t (fun tx ->
+           incr attempts;
+           if !attempts = 1 then begin
+             ignore (Lf.load tx r0);
+             loaded := true;
+             while not !other_done do
+               Sched.step_point ()
+             done;
+             (* the cell is now past our snapshot: this load aborts *)
+             ignore (Lf.load tx r0)
+           end;
+           Lf.store tx r0 7;
+           0))
+  in
+  let other () =
+    while not !loaded do
+      Sched.step_point ()
+    done;
+    ignore (Lf.update_tx t (fun tx -> Lf.store tx r0 5; 0));
+    other_done := true
+  in
+  ignore (Sched.run [| victim; other |]);
+  let d = Pstats.diff st snap in
+  check int "the first attempt aborted" 2 !attempts;
+  check int "one abort" 1 d.Pstats.aborts;
+  check int "no DCAS against the aborted attempt's word" 0 d.Pstats.dcas_fail;
+  check int "the retry's store landed" 7 (Lf.read_tx t (fun tx -> Lf.load tx r0))
+
+(* A helper installs the owner's entry first: the owner's DCAS over its
+   loaded word fails and falls back to a reload, which finds [s = seq]
+   and stops.  The cell holds one new word over the pre-commit word, and
+   a reader pinned before the commit still resolves the old value. *)
+let test_apply_helper_first () =
+  let t = Lf.create ~mode:Region.Volatile ~max_threads:4 () in
+  let r = Lf.region t in
+  let r0 = Lf.root t 0 and r1 = Lf.root t 1 in
+  ignore (Lf.update_tx t (fun tx -> Lf.store tx r0 1; 0));
+  let before = Region.peek r r0 in
+  let seq = (let s, _, _ = Lf.curtx_info t in s + 1) in
+  let st = Region.stats r in
+  let snap = Pstats.copy st in
+  let pinned = ref false and owner_done = ref false in
+  let first = ref (-1) and second = ref (-1) in
+  let owner () =
+    while not !pinned do
+      Sched.step_point ()
+    done;
+    ignore (Lf.update_tx t (fun tx -> Lf.store tx r0 (Lf.load tx r0 + 1); 0));
+    owner_done := true
+  in
+  let helper () =
+    (* wait for the owner's commit, then run into it *)
+    while
+      let s, _, open_ = Lf.curtx_info t in
+      not (open_ && s = seq)
+    do
+      Sched.step_point ()
+    done;
+    ignore (Lf.update_tx t (fun tx -> Lf.store tx r1 1; 0))
+  in
+  let reader () =
+    ignore
+      (Lf.read_tx t (fun tx ->
+           first := Lf.load tx r0;
+           pinned := true;
+           while not !owner_done do
+             Sched.step_point ()
+           done;
+           second := Lf.load tx r0;
+           0))
+  in
+  ignore
+    (Sched.run_controlled ~pick:(starve_open_committer t) [| owner; helper; reader |]);
+  let d = Pstats.diff st snap in
+  check int "the helper applied the owner's write-set" 1 d.Pstats.helps;
+  check int "the owner's DCAS lost to the helper's" 1 d.Pstats.dcas_fail;
+  let w = Region.peek r r0 in
+  check int "new value" 2 w.Word.v;
+  check int "new word at the commit's seq" seq w.Word.s;
+  check bool "one new word, directly over the pre-commit word" true
+    (w.Word.p == before);
+  check int "pinned reader, before the commit" 1 !first;
+  check int "pinned reader, after the apply" 1 !second
+
+(* ------------------------------------------------------------------ *)
 (* In-cell version chains (DESIGN.md §13)                              *)
 
 module Core0 = Onefile.Core0
@@ -1013,5 +1207,15 @@ let () =
         [
           Alcotest.test_case "lock-free table row" `Quick test_lf_cost_counts;
           Alcotest.test_case "wait-free table row" `Quick test_wf_cost_counts;
+        ] );
+      ( "apply",
+        [
+          Alcotest.test_case "loaded cells: no apply-phase loads" `Quick
+            test_apply_cost_loaded;
+          Alcotest.test_case "memo collision falls back" `Quick
+            test_apply_memo_collision;
+          Alcotest.test_case "aborted attempt's memo unused" `Quick
+            test_apply_memo_not_reused_after_abort;
+          Alcotest.test_case "helper installs first" `Quick test_apply_helper_first;
         ] );
     ]

@@ -267,6 +267,43 @@ let test_diff_lower_better_and_structural () =
   check int "tx.aborts spike flagged" 1
     (List.length (J.diff ~baseline:base ~current:aborts_spike ()))
 
+(* [changes] (bench_diff --all) lists every differing cell with its
+   signed delta: improvements, sub-tolerance moves, Info tables and
+   ungated telemetry included; unchanged cells and one-sided rows not. *)
+let test_changes_lists_every_cell () =
+  let base = sample_run () in
+  check int "self-diff has no changed cell" 0
+    (List.length (J.changes ~baseline:base ~current:base));
+  let cur =
+    {
+      (perturb_throughput 1.02 base) with
+      J.tables =
+        (perturb_throughput 1.02 base).J.tables
+        @ [ { J.title = "extra"; columns = [ "x" ]; better = J.Info; rows = [] } ];
+      telemetry = [ ("tx.aborts", 42.0); ("tx.commits", 1000.0) ];
+    }
+  in
+  let cs = J.changes ~baseline:base ~current:cur in
+  check (Alcotest.list Alcotest.string) "every changed cell, baseline order"
+    [
+      "throughput / 1 / OF-LF";
+      "throughput / 1 / OF-WF";
+      "throughput / 2 / OF-LF";
+      "throughput / 2 / OF-WF";
+      "telemetry / tx.commits";
+    ]
+    (List.map (fun (c : J.change) -> c.cell) cs);
+  check int "a 2% gain is no regression" 0
+    (List.length (J.diff ~baseline:base ~current:cur ()));
+  let c = List.nth cs 4 in
+  check (Alcotest.float 1e-9) "signed delta keeps its sign" (-234.5)
+    (c.J.after -. c.J.before);
+  check Alcotest.string "printed with signed delta and percent"
+    "telemetry / tx.commits 1234.5 -> 1000 (-234.5, -19.0%)"
+    (String.concat " "
+       (List.filter (( <> ) "")
+          (String.split_on_char ' ' (Format.asprintf "%a" J.pp_change c))))
+
 let test_cost_table_matches_paper_formulas () =
   let rows = Workloads.Table_costs.measure_all ~nw:8 in
   let find label =
@@ -347,6 +384,8 @@ let () =
             test_json_roundtrip_identity;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "self-diff passes" `Quick test_diff_identical_passes;
+          Alcotest.test_case "changes lists every changed cell" `Quick
+            test_changes_lists_every_cell;
           Alcotest.test_case "20% drop flagged" `Quick test_diff_flags_regression;
           Alcotest.test_case "lower-better and structural" `Quick
             test_diff_lower_better_and_structural;
