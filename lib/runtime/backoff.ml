@@ -13,6 +13,8 @@ type t = { min : int; max : int; mutable cur : int; rng : Rng.t }
 let create ?(min = 1) ?(max = 64) () =
   { min; max; cur = min; rng = Rng.create (1 + Satomic.fetch_and_add_relaxed instances 1) }
 
+let reset_instances () = Satomic.set instances 0
+
 let once t =
   let spins = 1 + Rng.int t.rng t.cur in
   for _ = 1 to spins do

@@ -12,6 +12,9 @@ let default ?(threads = 1) ?(cores = 8) ?(rounds = 30_000) ?(seed = 42) () =
   { threads; cores; rounds; seed; policy = Sched.Round_robin }
 
 let run_workers spec ~hist worker =
+  (* every cell starts from the same backoff seeds, so a cell's numbers
+     do not depend on the schedules of the cells run before it *)
+  Backoff.reset_instances ();
   let ops = Array.make spec.threads 0 in
   let body i () =
     let rng = Rng.create ((spec.seed * 1000) + i) in

@@ -4,7 +4,8 @@
     of [cores] CPUs for [rounds] rounds of simulated time; throughput is
     completed operations per 1000 rounds ("kops/krounds"), latency is the
     per-operation round span.  Points are exactly reproducible from the
-    seed.  [threads > cores] is over-subscription, as in the paper's
+    seed: each run resets {!Runtime.Backoff}'s instance counter, so a
+    point does not depend on the points run before it in the process.  [threads > cores] is over-subscription, as in the paper's
     oversubscribed runs. *)
 
 type spec = {
