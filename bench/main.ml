@@ -836,6 +836,40 @@ let words_per op n =
   in
   (d2 -. d1) /. float_of_int n
 
+(* Router steps per single-shard transaction: the scheduler steps a
+   Shard-LF update of 8 words on one shard pays on top of the same update
+   run directly on that shard, solo.  The router takes its route once per
+   transaction — one map-image load (with the migration descriptor) in
+   the classify pre-pass and one in the single-shard call, the descriptor
+   once per attempt — so the count does not grow with the write set.
+   The pre-route-once row is the same harness at the router that paid a
+   map load per access in both the pre-pass and the transaction. *)
+let router_steps_per_tx () =
+  let t = Of_sh_lf_v.fresh () in
+  let sh = (Shr_lf.shards t).(0) in
+  let via_router () =
+    ignore
+      (Shr_lf.update_tx t (fun tx ->
+           for j = 0 to 7 do
+             (* root 4j lives on shard 0 of the 4 *)
+             Shr_lf.store tx (Shr_lf.root t (4 * j)) j
+           done;
+           0))
+  in
+  let direct () =
+    ignore
+      (Lf.update_tx sh (fun tx ->
+           for j = 0 to 7 do
+             Lf.store tx (Lf.root sh j) j
+           done;
+           0))
+  in
+  via_router ();
+  direct ();
+  let steps f = Sched.total_steps (Sched.run [| f |]) in
+  let net f = steps f - steps ignore in
+  float_of_int (net via_router - net direct)
+
 let fig_hotpath mode =
   let module Pstats = Pmem.Pstats in
   (* 1. Minor-heap words per op on the three hot shapes.  Pre-overhaul,
@@ -995,6 +1029,14 @@ let fig_hotpath mode =
     ~columns:[ "ro-load"; "update-8w" ]
     ~better:J.Higher_better
     [ ("OF-LF", thr (module Of_lf_v)); ("OF-WF", thr (module Of_wf_v)) ]
+  ;
+  emit ~label_col:"series" ~title:"Hotpath: router steps per transaction"
+    ~columns:[ "update-8w" ]
+    ~better:J.Lower_better
+    [
+      ("pre-route-once Shard-LF 1-shard", [ 35.0 ]);
+      ("Shard-LF 1-shard", [ router_steps_per_tx () ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure "shards" (extension): the Tm_shard cross-shard router.

@@ -91,7 +91,16 @@ module Make (T : Tm_intf.S) : sig
       transaction-free, and exact even mid-migration.  Callers must not
       reconstruct routes from [span] arithmetic; use this lookup (or
       {!map_entries} for the whole table).  Global names never change
-      across a migration — only their routes do. *)
+      across a migration — only their routes do.
+
+      Transactions do not call this per access.  A single-shard
+      transaction loads the image once per call (plus once in the
+      classify pre-pass) and routes every access through it without a
+      step; it checks that image against its home shard's map epoch,
+      which the shard's freeze word carries, with the one load each
+      attempt already makes.  A cross-shard batch loads the image once
+      and publishes its effects already routed.  So a transaction's
+      routing cost does not grow with the cells it touches. *)
 
   val map_entries : t -> (int * int * int * int) array
   (** The current shard-map range table as [(lo, len, shard, local_base)]
@@ -112,14 +121,19 @@ module Make (T : Tm_intf.S) : sig
       OneFile's own: elect a migrator (one CAS — [`Busy] if a move is
       already live), durably publish a migration record on shard 0, copy
       the range in bounded chunks through ordinary cross-shard
-      transactions, then flip the map epoch (drain the batcher, publish
-      the next volatile map image, settle entry + epoch + record in ONE durable
-      transaction) and retire the old copy.  A crash after the record
-      rolls {e forward} in {!recover}; before it, write-ahead holds roll
-      the allocation {e back}.  Valid moves: a natively-homed range (no
-      overlap with existing map rows, one native shard, disjoint from
-      the control block and reserved root slot) to a fresh shard, or an
-      exact existing row back to its native home ([`Invalid] otherwise).
+      transactions, then flip the map epoch and retire the old copy.
+      The flip writes the new epoch into the source shard's freeze word,
+      settles entry + epoch + record in ONE durable transaction and
+      publishes the next volatile map image.  It runs, with the
+      descriptor's retirement, at a batch boundary under the batcher's
+      leader token: the migrator parks it for the current token holder,
+      which runs it between two batches, so no batch executes across a
+      flip.  A crash after the record rolls {e forward} in {!recover};
+      before it, write-ahead holds roll the allocation {e back}.  Valid
+      moves: a natively-homed range (no overlap with existing map rows,
+      one native shard, disjoint from the control block and reserved
+      root slot) to a fresh shard, or an exact existing row back to its
+      native home ([`Invalid] otherwise).
       The retired source cells of a fresh move stay allocated
       (quarantined): global names must keep resolving after the range
       moves back. *)
@@ -161,6 +175,48 @@ module Make (T : Tm_intf.S) : sig
       keep their own telemetry attachment. *)
 
   val detach_telemetry : t -> unit
+
+  (** The router's durable control block, as shard-local cell addresses
+      (for tests that fabricate or inspect a crash footprint).  Every
+      shard [s] has a freeze word, an applied batch id, a write-ahead
+      pending list, a migration hold and an epoch cell; shard 0 also
+      holds the batch commit record, the persistent shard map and the
+      migration record. *)
+  module Layout : sig
+    val frozen : int
+    (** The freeze word's value while a batch holds the shard.  Unfrozen,
+        the freeze word holds the shard's map epoch (its epoch cell). *)
+
+    val lock_cell : t -> int -> int
+    (** [lock_cell t s]: shard [s]'s freeze word. *)
+
+    val applied_cell : t -> int -> int
+    val pcount_cell : t -> int -> int
+
+    val pslot_cell : t -> int -> int -> int
+    (** [pslot_cell t s i]: pending-list slot [i]. *)
+
+    val mighold_cell : t -> int -> int
+
+    val epoch_cell : t -> int -> int
+    (** The durable epoch of the last flip that moved a range out of the
+        shard. *)
+
+    val rec_base : t -> int
+    (** Batch commit record on shard 0: status | id | participants |
+        nwrites | nfrees | (gaddr, value) pairs | free gaddrs. *)
+
+    val rec_frees_off : t -> int
+    (** Offset of the free list from {!rec_base}. *)
+
+    val map_base : t -> int
+    (** Persistent shard map on shard 0: epoch | n | (lo, len, shard,
+        local_base) rows. *)
+
+    val mig_base : t -> int
+    (** Migration record on shard 0: status | lo | len | src | dst | sbase
+        | dbase | epoch. *)
+  end
 
   type faults = {
     mutable torn_commit_record : bool;
